@@ -4,7 +4,7 @@ Commands:
 
     fell-lab example <name> [--param k=v ...] [--json]
     fell-lab ktheory solve <file> [--json]
-    fell-lab verify <file> [--samples N] [--tol T] [--json]
+    fell-lab verify <file> [--samples N] [--tol T] [--seed S] [--json]
 
 Exit codes: 0 all requested checks pass, 1 a check verified false, 2 usage
 or parse error.
@@ -42,7 +42,10 @@ def _parse_params(pairs: list[str]) -> dict:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: top level must be a JSON object")
+    return data
 
 
 def cmd_example(args: argparse.Namespace) -> int:
@@ -67,7 +70,7 @@ def cmd_ktheory_solve(args: argparse.Namespace) -> int:
     try:
         data = _load_json(args.file)
         ses = ktheory.ses_from_dict(data)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     k0, k1 = ktheory.solve_six_term(ses)
@@ -80,6 +83,8 @@ def cmd_ktheory_solve(args: argparse.Namespace) -> int:
 
 
 def _element_from_dict(model: spaces.SpaceModel, d: dict) -> conv.AlgebraElement:
+    if not isinstance(d, dict):
+        raise TypeError(f"an element must be a JSON object, got {d!r}")
     rule = d.get("rule")
     if rule == "builtin":
         params = {k: float(v) for k, v in d.get("params", {}).items()}
@@ -105,18 +110,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         data = _load_json(args.file)
         model = spaces.model_from_dict(data["model"])
         element = _element_from_dict(model, data["element"])
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
     if isinstance(element.rule, conv.GridRule):
         # A grid element is only defined at its own base points.
-        samples = []
-        for label, _ in element.rule.values:
-            chart, qcoord = label
-            samples.append(
-                spaces.PointRef(chart, tuple(c / 1e9 for c in qcoord))
-            )
+        samples = [spaces.point_of_key(label) for label in element.rule.values]
     else:
         samples = spaces.sample_base_points(model, args.samples, seed=args.seed)
 

@@ -181,13 +181,13 @@ class BuiltinRule:
 
 @dataclass(frozen=True, eq=False)
 class GridRule:
-    values: tuple[tuple[tuple, np.ndarray], ...]  # (base label, matrix)
+    values: dict[tuple, np.ndarray]  # base label -> matrix
 
     def lookup(self, label: tuple) -> np.ndarray:
-        for key, arr in self.values:
-            if key == label:
-                return arr
-        raise MissingSampleError(f"no stored value at base point {label!r}")
+        try:
+            return self.values[label]
+        except KeyError:
+            raise MissingSampleError(f"no stored value at base point {label!r}") from None
 
 
 @dataclass(frozen=True)
@@ -268,21 +268,19 @@ def grid_element(
 ) -> AlgebraElement:
     """Element given by explicit fiber matrices at finitely many base points."""
     items = values.items() if isinstance(values, Mapping) else values
-    stored = []
-    seen = set()
+    stored: dict[tuple, np.ndarray] = {}
     for point, arr in items:
         orbit = resolve_orbit(model, point)
         label = orbit.base_label
-        if label in seen:
+        if label in stored:
             raise ValueError(f"duplicate grid value at base point {label!r}")
-        seen.add(label)
         mat = np.asarray(arr, dtype=complex)
         if mat.shape != (orbit.size, orbit.size):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match fiber size {orbit.size}"
             )
-        stored.append((label, mat))
-    return AlgebraElement(model, GridRule(values=tuple(stored)))
+        stored[label] = mat
+    return AlgebraElement(model, GridRule(values=stored))
 
 
 def adjoint(f: AlgebraElement) -> AlgebraElement:
@@ -395,8 +393,8 @@ def indicator_projection(model: SpaceModel, region: Region) -> AlgebraElement:
     entries in {0, 1} only, so it is idempotent and self-adjoint exactly.
     """
     for a, b in model.branch_partner_pairs():
-        if region.contains(_any_lift(model, a)) and region.contains(
-            _any_lift(model, b)
+        if region.contains(model.normalize(a)) and region.contains(
+            model.normalize(b)
         ):
             raise NonHausdorffRegionError(
                 f"region contains the non-separated pair {a!r}, {b!r}"
@@ -410,10 +408,6 @@ def indicator_projection(model: SpaceModel, region: Region) -> AlgebraElement:
                 f"region meets the fiber over {orbit.base_label!r} {hits} times"
             )
     return AlgebraElement(model, IndicatorRule(region))
-
-
-def _any_lift(model: SpaceModel, p: PointRef) -> PointRef:
-    return model.normalize(p)
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +560,14 @@ def check_branch_continuity(
             raise ValueError(
                 f"fiber size changes along approach sequence {seq.direction!r}"
             )
-        values = [evaluate(f, x).entries for x in seq.samples]
+        values = [_entries_at(f, o) for o in orbits]
         cls = model.branch_class(seq.branch_class)
         target_orbits = {
             name: resolve_orbit(model, model.named_point(name))
             for name in cls.members
         }
         limit_of = _classify_members(
-            model, orbits[-1], target_orbits, seq.distances[-1]
+            model.charts, orbits[-1], target_orbits, seq.distances[-1]
         )
         defect = 0.0
         for name, torbit in target_orbits.items():
@@ -584,7 +578,7 @@ def check_branch_continuity(
             ]
             if not idxs:
                 continue
-            target = evaluate(f, model.named_point(name)).entries
+            target = _entries_at(f, torbit)
             for i, a in idxs:
                 for j, b in idxs:
                     lim = extrapolate_limit([v[i, j] for v in values])
@@ -600,7 +594,7 @@ def check_branch_continuity(
 
 
 def _classify_members(
-    model: SpaceModel,
+    periods: tuple[float | None, ...],
     orbit: Orbit,
     target_orbits: dict[str, Orbit],
     last_distance: float,
@@ -615,10 +609,9 @@ def _classify_members(
                     continue
                 dist = 0.0
                 for axis, (a, b) in enumerate(zip(m.coord, lift.coord)):
-                    period = model._chart_coord_is_angle(m.chart, axis)
                     d = abs(a - b)
-                    if period is not None:
-                        d = min(d, period - d)
+                    if axis == 0 and periods[m.chart] is not None:
+                        d = min(d, periods[m.chart] - d)
                     dist = max(dist, d)
                 if dist <= threshold:
                     out[i] = (name, lift_idx)

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .spaces import ParameterError  # re-exported: one class for both layers
+
 
 class UnsupportedInputError(ValueError):
     """Raised when an operation is asked for input outside its contract,
     e.g. a six-term system with torsion in the outer groups."""
-
-
-class ParameterError(ValueError):
-    """Raised for out-of-range numeric parameters (e.g. sheet count < 2)."""
 
 
 class IncidenceError(ValueError):
@@ -104,9 +102,6 @@ class IntMatrix:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entry(i, i) for i in range(min(self.rows, self.cols)))
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
 
 
 def determinant(m: IntMatrix) -> int:
@@ -321,10 +316,6 @@ class FgAbGroup:
     @property
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
-
-    @property
-    def is_free(self) -> bool:
-        return not self.torsion
 
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
         rank = self.rank + sum(g.rank for g in others)
@@ -554,12 +545,28 @@ def pinch_strata_oracle(
 # ---------------------------------------------------------------------------
 
 
+def _exact_int(value: object, what: str) -> int:
+    """Exact data stays exact: anything but a JSON integer is rejected."""
+    if type(value) is not int:  # excludes bool and float
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def group_from_dict(d: dict) -> FgAbGroup:
-    return FgAbGroup(rank=int(d.get("rank", 0)), torsion=tuple(d.get("torsion", ())))
+    if not isinstance(d, dict):
+        raise TypeError(f"a group must be a JSON object, got {d!r}")
+    return FgAbGroup(
+        rank=_exact_int(d.get("rank", 0), "rank"),
+        torsion=tuple(_exact_int(t, "torsion value") for t in d.get("torsion", ())),
+    )
 
 
 def matrix_from_dict(d: dict) -> IntMatrix:
-    return IntMatrix(int(d["rows"]), int(d["cols"]), tuple(int(e) for e in d["entries"]))
+    return IntMatrix(
+        _exact_int(d["rows"], "rows"),
+        _exact_int(d["cols"], "cols"),
+        tuple(_exact_int(e, "matrix entry") for e in d["entries"]),
+    )
 
 
 def ses_from_dict(d: dict) -> TwoStrataSES:

@@ -23,7 +23,6 @@ from .conv import (
     indicator_projection,
     restrict,
     twisted_sphere_projection,
-    verify_fullness_witness,
     verify_projection,
 )
 from .ktheory import (
@@ -244,13 +243,12 @@ def _run_aab_ab(params: dict) -> ScenarioResult:
     rep = verify_projection(ind, samples)
     checks.append(_tol_check("indicator_idempotency_defect", rep.max_idempotency_defect, 0.0))
     checks.append(_tol_check("indicator_selfadjoint_defect", rep.max_selfadjoint_defect, 0.0))
-    floor = verify_fullness_witness(ind, samples)
     checks.append(
         Check(
             name="indicator_not_full",
-            passed=floor == 0.0,
+            passed=rep.fullness_floor == 0.0,
             expected="fullness floor 0",
-            actual=f"{floor:g}",
+            actual=f"{rep.fullness_floor:g}",
             source="derived",
         )
     )
@@ -287,13 +285,12 @@ def _run_broken_heart_wedge(params: dict) -> ScenarioResult:
     worst = max(evaluate(rho, x).max_abs() for x in heart_samples)
     checks.append(_tol_check("restriction_to_heart_vanishes", worst, 0.0))
 
-    floor = verify_fullness_witness(ind, samples)
     checks.append(
         Check(
             name="fullness_floor",
-            passed=floor == 0.0,
+            passed=rep.fullness_floor == 0.0,
             expected="0",
-            actual=f"{floor:g}",
+            actual=f"{rep.fullness_floor:g}",
             source="derived",
         )
     )
@@ -314,13 +311,12 @@ def _run_twisted_sphere(params: dict) -> ScenarioResult:
     checks.append(_tol_check("idempotency_defect", rep.max_idempotency_defect, tol))
     checks.append(_tol_check("selfadjoint_defect", rep.max_selfadjoint_defect, tol))
 
-    floor = verify_fullness_witness(p, samples)
     checks.append(
         Check(
             name="fullness_floor",
-            passed=floor >= 0.25,
+            passed=rep.fullness_floor >= 0.25,
             expected=">= 0.25",
-            actual=f"{floor:g}",
+            actual=f"{rep.fullness_floor:g}",
             source="derived",
         )
     )

@@ -74,6 +74,12 @@ def qkey(p: PointRef) -> tuple:
     return (p.chart, tuple(round(c * _QSCALE) for c in p.coord))
 
 
+def point_of_key(key: tuple) -> PointRef:
+    """The point a ``qkey`` stands for, at the key's 1e-9 resolution."""
+    chart, qcoord = key
+    return PointRef(chart, tuple(c / _QSCALE for c in qcoord))
+
+
 def _snap(x: float, targets: tuple[float, ...], tol: float = TOL) -> float | None:
     for tgt in targets:
         if abs(x - tgt) <= tol:
@@ -87,19 +93,6 @@ def _reduce_angle(theta: float, period: float) -> float:
     if theta >= period - TOL or theta <= TOL:
         return 0.0
     return theta
-
-
-@dataclass(frozen=True)
-class Chart:
-    """Descriptor of one chart of the total space."""
-
-    kind: str  # "interval" | "circle" | "sphere_patch"
-    lo: float = 0.0
-    hi: float = 1.0
-    period: float | None = None
-    lo_closed: bool = True
-    hi_closed: bool = True
-    excludes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -134,13 +127,6 @@ class Orbit:
 
     def member_keys(self) -> tuple[tuple, ...]:
         return tuple(qkey(m) for m in self.members)
-
-    def index_of(self, p: PointRef) -> int:
-        k = qkey(p)
-        for i, m in enumerate(self.members):
-            if qkey(m) == k:
-                return i
-        raise ValueError("point is not a member of this orbit")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Orbit):
@@ -180,7 +166,9 @@ class SpaceModel:
     kind: str = "abstract"
 
     @property
-    def charts(self) -> tuple[Chart, ...]:
+    def charts(self) -> tuple[float | None, ...]:
+        """Per chart, the period of its angular axis-0 coordinate (None if
+        linear); other axes are always linear."""
         raise NotImplementedError
 
     @property
@@ -232,15 +220,6 @@ class SpaceModel:
 
     def to_dict(self) -> dict:
         raise NotImplementedError
-
-    def _chart_coord_is_angle(self, chart: int, axis: int) -> float | None:
-        """Period of an angular coordinate axis, or None if linear."""
-        c = self.charts[chart]
-        if c.kind == "circle" and axis == 0:
-            return c.period
-        if c.kind == "sphere_patch" and axis == 0:
-            return TWO_PI
-        return None
 
 
 def resolve_orbit(model: SpaceModel, y: PointRef) -> Orbit:
@@ -317,8 +296,8 @@ class SolenoidAabAb(SpaceModel):
     MARKS = (0.0, 1.0, 2.0)
 
     @property
-    def charts(self) -> tuple[Chart, ...]:
-        return (Chart(kind="circle", lo=0.0, hi=3.0, period=3.0),)
+    def charts(self) -> tuple[float | None, ...]:
+        return (3.0,)
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
@@ -396,12 +375,8 @@ class BrokenHeart(SpaceModel):
     kind: str = field(default="broken_heart", init=False)
 
     @property
-    def charts(self) -> tuple[Chart, ...]:
-        return (
-            Chart(kind="interval", lo=0.0, hi=2.0, lo_closed=True, hi_closed=False),
-            Chart(kind="interval", lo=0.0, hi=3.0, lo_closed=False, hi_closed=False),
-            Chart(kind="interval", lo=0.0, hi=3.0, lo_closed=False, hi_closed=False),
-        )
+    def charts(self) -> tuple[float | None, ...]:
+        return (None, None, None)
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
@@ -494,15 +469,8 @@ class TwistedSphere(SpaceModel):
     kind: str = field(default="twisted_sphere", init=False)
 
     @property
-    def charts(self) -> tuple[Chart, ...]:
-        return (
-            Chart(kind="sphere_patch", lo=-1.0, hi=1.0, lo_closed=False,
-                  hi_closed=False, period=TWO_PI, excludes=("poles",)),
-            Chart(kind="sphere_patch", lo=-1.0, hi=1.0, period=TWO_PI,
-                  excludes=("equator",)),
-            Chart(kind="sphere_patch", lo=-1.0, hi=1.0, period=TWO_PI,
-                  excludes=("equator",)),
-        )
+    def charts(self) -> tuple[float | None, ...]:
+        return (TWO_PI, TWO_PI, TWO_PI)
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
@@ -644,11 +612,8 @@ class PinchCircle(SpaceModel):
         object.__setattr__(self, "split_points", pts)
 
     @property
-    def charts(self) -> tuple[Chart, ...]:
-        return tuple(
-            Chart(kind="circle", lo=0.0, hi=1.0, period=1.0)
-            for _ in range(self.sheets)
-        )
+    def charts(self) -> tuple[float | None, ...]:
+        return (1.0,) * self.sheets
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
@@ -737,7 +702,7 @@ class WedgeModel(SpaceModel):
         return len(self.left.charts)
 
     @property
-    def charts(self) -> tuple[Chart, ...]:
+    def charts(self) -> tuple[float | None, ...]:
         return self.left.charts + self.right.charts
 
     @property
@@ -994,12 +959,8 @@ class CoverModel(SpaceModel):
     kind: str = field(default="cover", init=False)
 
     @property
-    def charts(self) -> tuple[Chart, ...]:
-        out = []
-        for cc in self.cover_charts:
-            length = sum(p.length for p in cc.pieces if isinstance(p, Span))
-            out.append(Chart(kind="interval", lo=0.0, hi=length))
-        return tuple(out)
+    def charts(self) -> tuple[float | None, ...]:
+        return (None,) * len(self.cover_charts)
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
@@ -1115,6 +1076,8 @@ def _point_from_dict(d: dict) -> PointRef:
 
 def model_from_dict(d: dict) -> SpaceModel:
     """Build a model from its constructor-name/parameters description."""
+    if not isinstance(d, dict):
+        raise TypeError(f"a model must be a JSON object, got {d!r}")
     kind = d.get("kind")
     if kind == "solenoid_aab_ab":
         return SolenoidAabAb()

@@ -144,6 +144,28 @@ class TestKtheorySolveCommand:
         assert main(["ktheory", "solve", path]) == 2
         assert "torsion-free" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("delta0", {"rows": 2, "cols": 3, "entries": [-1, 1.7, 0, 1, -1, 0]}),
+            ("delta0", {"rows": 2, "cols": 3, "entries": [-1, True, 0, 1, -1, 0]}),
+            ("delta0", {"rows": 2.0, "cols": 3, "entries": [-1, 1, 0, 1, -1, 0]}),
+            ("delta0", {"rows": 2, "cols": 3.0, "entries": [-1, 1, 0, 1, -1, 0]}),
+            ("K1_I", {"rank": 1.9}),
+            ("K0_I", {"rank": False}),
+            ("K0_Q", {"rank": 3, "torsion": [2.5]}),
+        ],
+    )
+    def test_inexact_input_exit_2(self, tmp_path, capsys, key, value):
+        payload = dict(SPLICE_SES_FILE)
+        payload[key] = value
+        path = write_json(tmp_path, "inexact.json", payload)
+        assert main(["ktheory", "solve", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "must be a JSON integer" in captured.err
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -256,6 +278,26 @@ class TestVerifyCommand:
             "samples_used",
         ):
             assert f"{key}: {report[key]}" in text
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("ktheory", [SPLICE_SES_FILE]),
+        ("ktheory", {**SPLICE_SES_FILE, "delta0": []}),
+        ("ktheory", {**SPLICE_SES_FILE, "K0_I": 5}),
+        ("verify", [PROJECTION_FILE]),
+        ("verify", {**PROJECTION_FILE, "model": 5}),
+        ("verify", {**PROJECTION_FILE, "element": 5}),
+    ],
+)
+def test_non_object_json_exit_2(tmp_path, capsys, command, payload):
+    path = write_json(tmp_path, "shape.json", payload)
+    argv = ["ktheory", "solve", path] if command == "ktheory" else ["verify", path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestConsoleEntry:

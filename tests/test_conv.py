@@ -114,6 +114,11 @@ class TestEvaluate:
             mat = evaluate(f, x)
             assert mat.entries.shape == (orbit.size, orbit.size)
 
+    def test_grid_two_lifts_of_one_base_point_rejected(self):
+        values = [(PointRef(0, (0.5,)), np.eye(2)), (PointRef(0, (1.5,)), np.eye(2))]
+        with pytest.raises(ValueError, match="duplicate grid value"):
+            grid_element(SolenoidAabAb(), values)
+
     def test_builtin_requires_matching_model(self):
         with pytest.raises(IncompatibilityError):
             twisted_sphere_projection(SolenoidAabAb())
@@ -277,6 +282,24 @@ class TestFullness:
         ind = indicator_projection(model, A_CIRCLE_REGION)
         floor = verify_fullness_witness(ind, sample_base_points(model, 400, seed=12))
         assert floor == 0.0
+
+    @pytest.mark.parametrize(
+        "make, n",
+        [
+            (lambda: indicator_projection(SolenoidAabAb(), A_CIRCLE_REGION), 600),
+            (lambda: indicator_projection(standard_wedge(), A_CIRCLE_REGION), 800),
+            (lambda: twisted_sphere_projection(TwistedSphere()), 10000),
+        ],
+        ids=["aab-ab", "broken-heart-wedge", "twisted-sphere"],
+    )
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_report_floor_is_the_witness(self, make, n, seed):
+        # Scenarios read the floor off the verification report; the separate
+        # witness pass is its oracle and must agree exactly.
+        p = make()
+        samples = sample_base_points(p.model, n, seed=seed)
+        floor = verify_projection(p, samples).fullness_floor
+        assert floor == verify_fullness_witness(p, samples)
 
     def test_zero_element_floor_zero(self):
         model = TwistedSphere()

@@ -25,6 +25,7 @@ from fell_lab.spaces import (
     build_cover_groupoid,
     interval_base,
     model_from_dict,
+    point_of_key,
     qkey,
     resolve_orbit,
     sample_base_points,
@@ -48,7 +49,7 @@ def assert_orbits_close(model, a, b, tol=2e-9):
     for ma, mb in zip(a.members, b.members):
         assert ma.chart == mb.chart
         for axis, (ca, cb) in enumerate(zip(ma.coord, mb.coord)):
-            period = model._chart_coord_is_angle(ma.chart, axis)
+            period = model.charts[ma.chart] if axis == 0 else None
             d = abs(ca - cb)
             if period is not None:
                 d = min(d, period - d)
@@ -434,6 +435,21 @@ class TestSampling:
         assert [qkey(p) for p in a] == [qkey(p) for p in b]
         for y in a:
             resolve_orbit(model, y)
+
+    @pytest.mark.parametrize(
+        "model", ALL_MODELS + [aab_ab_figure_cover()], ids=lambda m: m.kind
+    )
+    def test_point_of_key_inverts_base_label(self, model):
+        for y in sample_base_points(model, 300, seed=5):
+            orbit = resolve_orbit(model, y)
+            back = resolve_orbit(model, point_of_key(orbit.base_label))
+            assert back.base_label == orbit.base_label
+            # On the sphere the half-turn and doubled-angle members of the
+            # requantized point may round to the neighbouring 1e-9 quantum.
+            if model.kind == "twisted_sphere":
+                assert_orbits_close(model, back, orbit)
+            else:
+                assert back == orbit
 
     def test_twisted_sphere_samples_include_strata(self):
         model = TwistedSphere()
