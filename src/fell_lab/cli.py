@@ -42,10 +42,7 @@ def _parse_params(pairs: list[str]) -> dict:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: top level must be a JSON object")
-    return data
+        return spaces.json_object(json.load(fh), f"{path}: the top level")
 
 
 def cmd_example(args: argparse.Namespace) -> int:
@@ -56,7 +53,7 @@ def cmd_example(args: argparse.Namespace) -> int:
         return USAGE_ERROR
     try:
         result = scenarios.run_scenario(scenarios.ScenarioSpec(args.name, params))
-    except scenarios.UnknownScenarioError as exc:
+    except (scenarios.UnknownScenarioError, spaces.ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.json:
@@ -83,24 +80,21 @@ def cmd_ktheory_solve(args: argparse.Namespace) -> int:
 
 
 def _element_from_dict(model: spaces.SpaceModel, d: dict) -> conv.AlgebraElement:
-    if not isinstance(d, dict):
-        raise TypeError(f"an element must be a JSON object, got {d!r}")
+    d = spaces.json_object(d, "an element")
     rule = d.get("rule")
     if rule == "builtin":
-        params = {k: float(v) for k, v in d.get("params", {}).items()}
-        return conv.builtin_element(model, d["name"], **params)
+        params = spaces.json_object(d.get("params", {}), "builtin params")
+        kwargs = {k: spaces.finite_float(v, f"param {k!r}") for k, v in params.items()}
+        return conv.builtin_element(model, d["name"], **kwargs)
     if rule == "indicator":
         return conv.indicator_projection(model, conv.Region.from_dict(d["region"]))
     if rule == "grid":
         values = []
         for pd in d["points"]:
-            point = spaces.PointRef(
-                int(pd["chart"]), tuple(float(c) for c in pd["coord"])
-            )
             mat = np.array(
                 [[complex(re, im) for re, im in row] for row in pd["matrix"]]
             )
-            values.append((point, mat))
+            values.append((spaces.point_from_dict(pd), mat))
         return conv.grid_element(model, values)
     raise ValueError(f"unknown element rule {rule!r}")
 

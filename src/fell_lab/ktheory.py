@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .spaces import ParameterError  # re-exported: one class for both layers
+from .spaces import exact_int, json_object
 
 
 class UnsupportedInputError(ValueError):
@@ -545,27 +546,20 @@ def pinch_strata_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _exact_int(value: object, what: str) -> int:
-    """Exact data stays exact: anything but a JSON integer is rejected."""
-    if type(value) is not int:  # excludes bool and float
-        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
-    return value
-
-
 def group_from_dict(d: dict) -> FgAbGroup:
-    if not isinstance(d, dict):
-        raise TypeError(f"a group must be a JSON object, got {d!r}")
+    d = json_object(d, "a group")
     return FgAbGroup(
-        rank=_exact_int(d.get("rank", 0), "rank"),
-        torsion=tuple(_exact_int(t, "torsion value") for t in d.get("torsion", ())),
+        rank=exact_int(d.get("rank", 0), "rank"),
+        torsion=tuple(exact_int(t, "torsion value") for t in d.get("torsion", ())),
     )
 
 
 def matrix_from_dict(d: dict) -> IntMatrix:
+    d = json_object(d, "a matrix")
     return IntMatrix(
-        _exact_int(d["rows"], "rows"),
-        _exact_int(d["cols"], "cols"),
-        tuple(_exact_int(e, "matrix entry") for e in d["entries"]),
+        exact_int(d["rows"], "rows"),
+        exact_int(d["cols"], "cols"),
+        tuple(exact_int(e, "matrix entry") for e in d["entries"]),
     )
 
 

@@ -11,7 +11,7 @@ the closed formula).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from . import spaces
 from .conv import (
@@ -40,23 +40,17 @@ from .ktheory import (
 )
 from .spaces import (
     BrokenHeart,
+    ParameterError,
     PinchCircle,
     PointRef,
     SolenoidAabAb,
     TwistedSphere,
     approach_sequences,
+    exact_int,
+    finite_float,
     sample_base_points,
     wedge,
 )
-
-SCENARIO_NAMES = (
-    "aab-ab",
-    "broken-heart",
-    "broken-heart-wedge",
-    "twisted-sphere",
-    "pinch",
-)
-
 
 class UnknownScenarioError(ValueError):
     pass
@@ -180,28 +174,12 @@ def standard_wedge() -> spaces.WedgeModel:
     )
 
 
-def _group_check(name: str, actual: FgAbGroup, expected: FgAbGroup, source: str = "stored") -> Check:
-    return Check(
-        name=name,
-        passed=actual == expected,
-        expected=str(expected),
-        actual=str(actual),
-        source=source,
-    )
-
-
-def _bool_check(name: str, actual: bool, expected: bool, source: str = "stored") -> Check:
+def _equal(name: str, actual: Any, expected: Any, source: str = "stored") -> Check:
     return Check(name, actual == expected, str(expected), str(actual), source)
 
 
-def _tol_check(name: str, value: float, bound: float, source: str = "derived") -> Check:
-    return Check(
-        name=name,
-        passed=value <= bound,
-        expected=f"<= {bound:g}",
-        actual=f"{value:.3e}",
-        source=source,
-    )
+def _bound(name: str, value: float, bound: float, source: str = "derived") -> Check:
+    return Check(name, value <= bound, f"<= {bound:g}", f"{value:.3e}", source)
 
 
 # ---------------------------------------------------------------------------
@@ -209,188 +187,143 @@ def _tol_check(name: str, value: float, bound: float, source: str = "derived") -
 # ---------------------------------------------------------------------------
 
 
-def _run_aab_ab(params: dict) -> ScenarioResult:
-    checks = []
+_Outcome = tuple[list[Check], tuple[str, ...]]  # checks in report order, flags
 
+
+def _run_aab_ab(p: dict) -> _Outcome:
     generated = vertex_class_boundary(SPLICE_INCIDENCE)
-    checks.append(
-        Check(
-            name="boundary_generator",
-            passed=generated == SPLICE_BOUNDARY,
-            expected=str(SPLICE_BOUNDARY.to_rows()),
-            actual=str(generated.to_rows()),
-            source="derived",
-        )
-    )
-
     k0, k1 = solve_six_term(SPLICE_SES)
-    checks.append(_group_check("K0", k0, FgAbGroup(2)))
-    checks.append(_group_check("K1", k1, FgAbGroup(1)))
-
     k0h, k1h = k_homology(SPLICE_SES.delta0)
-    checks.append(_group_check("K0_dual", k0h, FgAbGroup(2)))
-    checks.append(_group_check("K1_dual", k1h, FgAbGroup(1)))
-
     dual = duality_check(k0, k1, k0h, k1h)
-    checks.append(_bool_check("even_self_dual", dual.even_self_dual, True))
-    checks.append(
-        _bool_check("odd_self_dual_rationally", dual.odd_self_dual_rationally, False)
-    )
-
     model = SolenoidAabAb()
     ind = indicator_projection(model, A_CIRCLE_REGION)
-    samples = sample_base_points(model, int(params.get("samples", 600)), seed=int(params.get("seed", 0)))
-    rep = verify_projection(ind, samples)
-    checks.append(_tol_check("indicator_idempotency_defect", rep.max_idempotency_defect, 0.0))
-    checks.append(_tol_check("indicator_selfadjoint_defect", rep.max_selfadjoint_defect, 0.0))
-    checks.append(
-        Check(
-            name="indicator_not_full",
-            passed=rep.fullness_floor == 0.0,
-            expected="fullness floor 0",
-            actual=f"{rep.fullness_floor:g}",
-            source="derived",
-        )
-    )
+    rep = verify_projection(ind, sample_base_points(model, p["samples"], seed=p["seed"]))
+    checks = [
+        _equal("boundary_generator", generated.to_rows(), SPLICE_BOUNDARY.to_rows(), "derived"),
+        _equal("K0", k0, FgAbGroup(2)),
+        _equal("K1", k1, FgAbGroup(1)),
+        _equal("K0_dual", k0h, FgAbGroup(2)),
+        _equal("K1_dual", k1h, FgAbGroup(1)),
+        _equal("even_self_dual", dual.even_self_dual, True),
+        _equal("odd_self_dual_rationally", dual.odd_self_dual_rationally, False),
+        _bound("indicator_idempotency_defect", rep.max_idempotency_defect, 0.0),
+        _bound("indicator_selfadjoint_defect", rep.max_selfadjoint_defect, 0.0),
+        Check("indicator_not_full", rep.fullness_floor == 0.0, "fullness floor 0",
+              f"{rep.fullness_floor:g}", "derived"),
+    ]
+    return checks, ("has nonzero projection", "projection is not full")
 
-    flags = ("has nonzero projection", "projection is not full")
-    return ScenarioResult("aab-ab", params, tuple(checks), flags)
 
-
-def _run_broken_heart(params: dict) -> ScenarioResult:
-    checks = []
+def _run_broken_heart(p: dict) -> _Outcome:
     k0, k1 = solve_six_term(HEART_SES)
-    checks.append(_group_check("K0", k0, FgAbGroup(0)))
-    checks.append(_group_check("K1", k1, FgAbGroup(0)))
-    flags = []
-    if k0.is_trivial:
-        flags.append("no nonzero projections")
-    return ScenarioResult("broken-heart", params, tuple(checks), tuple(flags))
+    flags = ("no nonzero projections",) if k0.is_trivial else ()
+    return [_equal("K0", k0, FgAbGroup(0)), _equal("K1", k1, FgAbGroup(0))], flags
 
 
-def _run_broken_heart_wedge(params: dict) -> ScenarioResult:
-    checks = []
+def _run_broken_heart_wedge(p: dict) -> _Outcome:
     model = standard_wedge()
     ind = indicator_projection(model, A_CIRCLE_REGION)
-    n = int(params.get("samples", 800))
-    seed = int(params.get("seed", 0))
-    samples = sample_base_points(model, n, seed=seed)
-
-    rep = verify_projection(ind, samples)
-    checks.append(_tol_check("idempotency_defect", rep.max_idempotency_defect, 0.0))
-    checks.append(_tol_check("selfadjoint_defect", rep.max_selfadjoint_defect, 0.0))
-
+    rep = verify_projection(ind, sample_base_points(model, p["samples"], seed=p["seed"]))
     rho = restrict(ind, "right")
-    heart_samples = sample_base_points(BrokenHeart(), n // 2, seed=seed)
+    heart_samples = sample_base_points(BrokenHeart(), p["samples"] // 2, seed=p["seed"])
     worst = max(evaluate(rho, x).max_abs() for x in heart_samples)
-    checks.append(_tol_check("restriction_to_heart_vanishes", worst, 0.0))
-
-    checks.append(
-        Check(
-            name="fullness_floor",
-            passed=rep.fullness_floor == 0.0,
-            expected="0",
-            actual=f"{rep.fullness_floor:g}",
-            source="derived",
-        )
-    )
-    flags = ("has nonzero projection", "no full projection")
-    return ScenarioResult("broken-heart-wedge", params, tuple(checks), flags)
+    checks = [
+        _bound("idempotency_defect", rep.max_idempotency_defect, 0.0),
+        _bound("selfadjoint_defect", rep.max_selfadjoint_defect, 0.0),
+        _bound("restriction_to_heart_vanishes", worst, 0.0),
+        Check("fullness_floor", rep.fullness_floor == 0.0, "0", f"{rep.fullness_floor:g}", "derived"),
+    ]
+    return checks, ("has nonzero projection", "no full projection")
 
 
-def _run_twisted_sphere(params: dict) -> ScenarioResult:
-    checks = []
-    n = int(params.get("samples", 10000))
-    tol = float(params.get("tol", 1e-12))
-    seed = int(params.get("seed", 0))
+def _run_twisted_sphere(p: dict) -> _Outcome:
+    tol = p["tol"]
     model = TwistedSphere()
-    p = twisted_sphere_projection(model)
-    samples = sample_base_points(model, n, seed=seed)
-
-    rep = verify_projection(p, samples, tol=tol)
-    checks.append(_tol_check("idempotency_defect", rep.max_idempotency_defect, tol))
-    checks.append(_tol_check("selfadjoint_defect", rep.max_selfadjoint_defect, tol))
-
-    checks.append(
-        Check(
-            name="fullness_floor",
-            passed=rep.fullness_floor >= 0.25,
-            expected=">= 0.25",
-            actual=f"{rep.fullness_floor:g}",
-            source="derived",
-        )
-    )
-
+    proj = twisted_sphere_projection(model)
+    samples = sample_base_points(model, p["samples"], seed=p["seed"])
+    rep = verify_projection(proj, samples, tol=tol)
     seqs = approach_sequences(model, "equator", 16, 0.01)
-    defects = check_branch_continuity(p, seqs, tol=1e-6)
-    worst = max(d.defect for d in defects)
-    checks.append(_tol_check("branch_continuity_defect", worst, 1e-6))
-
+    defects = check_branch_continuity(proj, seqs, tol=1e-6)
     trace_err = 0.0
     for x in samples[:: max(len(samples) // 500, 1)]:
-        mat = evaluate(p, x)
+        mat = evaluate(proj, x)
         expected_trace = {4: 2.0, 2: 2.0, 1: 1.0}[mat.size]
         trace_err = max(trace_err, abs(mat.trace() - expected_trace))
-    checks.append(_tol_check("fiber_trace_defect", trace_err, tol))
+    checks = [
+        _bound("idempotency_defect", rep.max_idempotency_defect, tol),
+        _bound("selfadjoint_defect", rep.max_selfadjoint_defect, tol),
+        Check("fullness_floor", rep.fullness_floor >= 0.25, ">= 0.25", f"{rep.fullness_floor:g}",
+              "derived"),
+        _bound("branch_continuity_defect", max(d.defect for d in defects), 1e-6),
+        _bound("fiber_trace_defect", trace_err, tol),
+    ]
+    return checks, ("has full projection (numerical witness)",)
 
-    flags = ("has full projection (numerical witness)",)
-    return ScenarioResult("twisted-sphere", params, tuple(checks), flags)
 
-
-def _run_pinch(params: dict) -> ScenarioResult:
-    checks = []
-    m = int(params.get("m", 3))
-    k = int(params.get("k", 2))
+def _run_pinch(p: dict) -> _Outcome:
+    m, k = p["m"], p["k"]
+    oracle = pinch_strata_oracle(m, k)  # first: it rejects m < 0 and k < 2
+    formula = pinch_k_theory((FgAbGroup(1), FgAbGroup(1)), (FgAbGroup(m), FgAbGroup(0)), k)
     model = PinchCircle(
         split_points=tuple((i + 1.0) / (m + 1.0) for i in range(m)), sheets=k
     )
-
     sizes = set()
-    for y in sample_base_points(model, 60, seed=int(params.get("seed", 0))):
+    for y in sample_base_points(model, 60, seed=p["seed"]):
         sizes.add(spaces.resolve_orbit(model, y).size)
-    checks.append(
-        Check(
-            name="fiber_sizes",
-            passed=sizes == {1, k},
-            expected=f"{{1, {k}}}",
-            actual=str(sorted(sizes)),
-            source="derived",
-        )
-    )
-
-    formula = pinch_k_theory((FgAbGroup(1), FgAbGroup(1)), (FgAbGroup(m), FgAbGroup(0)), k)
-    oracle = pinch_strata_oracle(m, k)
-    checks.append(
-        Check(
-            name="strata_oracle_matches_formula",
-            passed=oracle == formula,
-            expected=f"({formula[0]}, {formula[1]})",
-            actual=f"({oracle[0]}, {oracle[1]})",
-            source="derived",
-        )
-    )
-    checks.append(
-        _group_check("K0", formula[0], FgAbGroup(1 + m * (k - 1)), source="stored")
-    )
-    checks.append(_group_check("K1", formula[1], FgAbGroup(1), source="stored"))
-    return ScenarioResult("pinch", {"m": m, "k": k}, tuple(checks))
+    checks = [
+        Check("fiber_sizes", sizes == {1, k}, f"{{1, {k}}}", str(sorted(sizes)), "derived"),
+        Check("strata_oracle_matches_formula", oracle == formula, f"({formula[0]}, {formula[1]})",
+              f"({oracle[0]}, {oracle[1]})", "derived"),
+        _equal("K0", formula[0], FgAbGroup(1 + m * (k - 1))),
+        _equal("K1", formula[1], FgAbGroup(1)),
+    ]
+    return checks, ()
 
 
-_RUNNERS = {
-    "aab-ab": _run_aab_ab,
-    "broken-heart": _run_broken_heart,
-    "broken-heart-wedge": _run_broken_heart_wedge,
-    "twisted-sphere": _run_twisted_sphere,
-    "pinch": _run_pinch,
+class _Scenario(NamedTuple):
+    run: Callable[[dict], _Outcome]
+    parameters: dict[str, int | float]  # every parameter the runner reads, with its default
+    echo: tuple[str, ...] | None = None  # report these resolved values, not the given ones
+
+
+_SCENARIOS = {
+    "aab-ab": _Scenario(_run_aab_ab, {"samples": 600, "seed": 0}),
+    "broken-heart": _Scenario(_run_broken_heart, {"seed": 0}),
+    "broken-heart-wedge": _Scenario(_run_broken_heart_wedge, {"samples": 800, "seed": 0}),
+    "twisted-sphere": _Scenario(
+        _run_twisted_sphere, {"samples": 10000, "tol": 1e-12, "seed": 0}
+    ),
+    "pinch": _Scenario(_run_pinch, {"m": 3, "k": 2, "seed": 0}, echo=("m", "k")),
 }
+
+SCENARIO_NAMES = tuple(_SCENARIOS)
+
+_READERS = {int: exact_int, float: finite_float}
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
-    """Execute a named scenario pipeline and compare against stored values."""
+    """Execute a named scenario pipeline and compare against stored values.
+
+    Raises ``UnknownScenarioError`` for an unknown name and ``ParameterError``
+    for a parameter the scenario does not read or a value not of its
+    default's kind (an integer, or a finite number for a float default).
+    """
     try:
-        runner = _RUNNERS[spec.name]
+        scenario = _SCENARIOS[spec.name]
     except KeyError:
         raise UnknownScenarioError(
             f"unknown scenario {spec.name!r}; choose from {', '.join(SCENARIO_NAMES)}"
         ) from None
-    return runner(dict(spec.parameters))
+    for key in spec.parameters:
+        if key not in scenario.parameters:
+            raise ParameterError(
+                f"scenario {spec.name!r} has no parameter {key!r}; "
+                f"it reads {', '.join(scenario.parameters)}"
+            )
+    p = {
+        key: _READERS[type(default)](spec.parameters.get(key, default), f"parameter {key!r}")
+        for key, default in scenario.parameters.items()
+    }
+    checks, flags = scenario.run(p)
+    echo = dict(spec.parameters) if scenario.echo is None else {k: p[k] for k in scenario.echo}
+    return ScenarioResult(spec.name, echo, tuple(checks), flags)

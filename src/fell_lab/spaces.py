@@ -59,7 +59,35 @@ class UnknownBranchClassError(ValueError):
 
 
 class ParameterError(ValueError):
-    """A numeric parameter is outside its documented range."""
+    """A parameter or input value is malformed or outside its documented range."""
+
+
+# Readers for values from outside the program (JSON files, CLI parameters):
+# nothing is coerced, so a wrong kind of value is an error, never a guess.
+
+
+def exact_int(value: object, what: str) -> int:
+    """Exact data stays exact: anything but a JSON integer is rejected."""
+    if type(value) is not int:  # excludes bool and float
+        raise ParameterError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def finite_float(value: object, what: str) -> float:
+    """A real number: a finite JSON integer or float (bool excluded)."""
+    try:
+        ok = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ParameterError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def json_object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 class PointRef(NamedTuple):
@@ -143,7 +171,6 @@ class ApproachSequence:
 
     branch_class: str
     direction: str
-    target: str  # named point the primary converging member approaches
     samples: tuple[PointRef, ...]
     distances: tuple[float, ...]
 
@@ -203,8 +230,8 @@ class SpaceModel:
 
     def approach_directions(
         self, class_name: str
-    ) -> list[tuple[str, str, Callable[[float], PointRef]]]:
-        """(direction name, target point name, distance -> sample) triples."""
+    ) -> list[tuple[str, Callable[[float], PointRef]]]:
+        """(direction name, distance -> sample) pairs."""
         self.branch_class(class_name)
         return []
 
@@ -253,13 +280,12 @@ def approach_sequences(
     dirs = model.approach_directions(branch_class)
     distances = tuple(eps0 * 2.0 ** (-i) for i in range(n))
     out = []
-    for direction, target, at in dirs:
+    for direction, at in dirs:
         samples = tuple(model.normalize(at(d)) for d in distances)
         out.append(
             ApproachSequence(
                 branch_class=branch_class,
                 direction=direction,
-                target=target,
                 samples=samples,
                 distances=distances,
             )
@@ -343,10 +369,10 @@ class SolenoidAabAb(SpaceModel):
     def approach_directions(self, class_name):
         self.branch_class(class_name)
         return [
-            ("a@0", "ab", lambda d: PointRef(0, (d,))),
-            ("a@1", "aa", lambda d: PointRef(0, (1.0 - d,))),
-            ("b@0", "ba", lambda d: PointRef(0, (2.0 + d,))),
-            ("b@1", "ab", lambda d: PointRef(0, (3.0 - d,))),
+            ("a@0", lambda d: PointRef(0, (d,))),
+            ("a@1", lambda d: PointRef(0, (1.0 - d,))),
+            ("b@0", lambda d: PointRef(0, (2.0 + d,))),
+            ("b@1", lambda d: PointRef(0, (3.0 - d,))),
         ]
 
     def to_dict(self) -> dict:
@@ -434,9 +460,9 @@ class BrokenHeart(SpaceModel):
     def approach_directions(self, class_name):
         self.branch_class(class_name)
         return [
-            ("segment@top", "q", lambda d: PointRef(0, (2.0 - d,))),
-            ("lobe_left", "q", lambda d: PointRef(1, (1.0 - d,))),
-            ("lobe_right", "r", lambda d: PointRef(2, (1.0 - d,))),
+            ("segment@top", lambda d: PointRef(0, (2.0 - d,))),
+            ("lobe_left", lambda d: PointRef(1, (1.0 - d,))),
+            ("lobe_right", lambda d: PointRef(2, (1.0 - d,))),
         ]
 
     def to_dict(self) -> dict:
@@ -562,8 +588,8 @@ class TwistedSphere(SpaceModel):
         self.branch_class(class_name)
         t0 = self.equator_theta % TWO_PI
         return [
-            ("z+", "equator_rep", lambda d: PointRef(0, (t0, d))),
-            ("z-", "equator_rep", lambda d: PointRef(0, (t0, -d))),
+            ("z+", lambda d: PointRef(0, (t0, d))),
+            ("z-", lambda d: PointRef(0, (t0, -d))),
         ]
 
     def branch_partner_pairs(self) -> list[tuple[PointRef, PointRef]]:
@@ -658,13 +684,11 @@ class PinchCircle(SpaceModel):
         return pts
 
     def approach_directions(self, class_name):
-        cls = self.branch_class(class_name)
-        idx = int(class_name.split(":")[1])
-        a = self.split_points[idx]
-        target = cls.members[0]
+        self.branch_class(class_name)
+        a = self.split_points[int(class_name.split(":")[1])]
         return [
-            ("ccw", target, lambda d: PointRef(0, ((a + d) % 1.0,))),
-            ("cw", target, lambda d: PointRef(0, ((a - d) % 1.0,))),
+            ("ccw", lambda d: PointRef(0, ((a + d) % 1.0,))),
+            ("cw", lambda d: PointRef(0, ((a - d) % 1.0,))),
         ]
 
     def to_dict(self) -> dict:
@@ -762,13 +786,11 @@ class WedgeModel(SpaceModel):
     def approach_directions(self, class_name):
         prefix, _, local_name = class_name.partition(":")
         if prefix == "left":
-            dirs = self.left.approach_directions(local_name)
-            return [(d, f"left:{t}", fn) for d, t, fn in dirs]
+            return self.left.approach_directions(local_name)
         if prefix == "right":
             dirs = self.right.approach_directions(local_name)
             return [
-                (d, f"right:{t}", (lambda fn: (lambda dist: self._shift(fn(dist))))(fn))
-                for d, t, fn in dirs
+                (d, (lambda fn: (lambda dist: self._shift(fn(dist))))(fn)) for d, fn in dirs
             ]
         raise UnknownBranchClassError(f"unknown branch class {class_name!r}")
 
@@ -1070,32 +1092,36 @@ def aab_ab_figure_cover() -> CoverModel:
 # ---------------------------------------------------------------------------
 
 
-def _point_from_dict(d: dict) -> PointRef:
-    return PointRef(int(d["chart"]), tuple(float(c) for c in d["coord"]))
+def point_from_dict(d: dict) -> PointRef:
+    d = json_object(d, "a point")
+    return PointRef(
+        exact_int(d["chart"], "chart"), tuple(finite_float(c, "coordinate") for c in d["coord"])
+    )
 
 
 def model_from_dict(d: dict) -> SpaceModel:
     """Build a model from its constructor-name/parameters description."""
-    if not isinstance(d, dict):
-        raise TypeError(f"a model must be a JSON object, got {d!r}")
+    d = json_object(d, "a model")
     kind = d.get("kind")
     if kind == "solenoid_aab_ab":
         return SolenoidAabAb()
     if kind == "broken_heart":
         return BrokenHeart()
     if kind == "twisted_sphere":
-        return TwistedSphere(equator_theta=float(d.get("equator_theta", 0.3)))
+        return TwistedSphere(
+            equator_theta=finite_float(d.get("equator_theta", 0.3), "equator_theta")
+        )
     if kind == "pinch":
         return PinchCircle(
-            split_points=tuple(float(x) for x in d["split_points"]),
-            sheets=int(d["sheets"]),
+            split_points=tuple(finite_float(x, "split point") for x in d["split_points"]),
+            sheets=exact_int(d["sheets"], "sheets"),
         )
     if kind == "wedge":
         return wedge(
             model_from_dict(d["left"]),
             model_from_dict(d["right"]),
-            _point_from_dict(d["left_point"]),
-            _point_from_dict(d["right_point"]),
+            point_from_dict(d["left_point"]),
+            point_from_dict(d["right_point"]),
         )
     if kind == "cover":
         charts = []
@@ -1108,8 +1134,8 @@ def model_from_dict(d: dict) -> SpaceModel:
                     pieces.append(
                         Span(
                             stratum=pd["stratum"],
-                            lo=float(pd["lo"]),
-                            hi=float(pd["hi"]),
+                            lo=finite_float(pd["lo"], "lo"),
+                            hi=finite_float(pd["hi"], "hi"),
                             lo_closed=bool(pd.get("lo_closed", False)),
                             hi_closed=bool(pd.get("hi_closed", False)),
                             reverse=bool(pd.get("reverse", False)),

@@ -31,6 +31,9 @@ PROJECTION_FILE = {
     "element": {"rule": "builtin", "name": "twisted_sphere_projection"},
 }
 
+NAN = float("nan")  # json.dumps writes it as NaN, which json.load accepts
+IDENTITY = {"rule": "builtin", "name": "identity"}
+
 
 class TestScenarios:
     def test_aab_ab_report(self):
@@ -289,15 +292,57 @@ class TestVerifyCommand:
         ("verify", [PROJECTION_FILE]),
         ("verify", {**PROJECTION_FILE, "model": 5}),
         ("verify", {**PROJECTION_FILE, "element": 5}),
+        (
+            "verify",
+            {
+                "model": {"kind": "solenoid_aab_ab"},
+                "element": {
+                    "rule": "grid",
+                    "points": [{"chart": 0, "coord": [2.5], "matrix": [[[NAN, 0.0]]]}],
+                },
+            },
+        ),
+        (
+            "verify",
+            {"model": {"kind": "solenoid_aab_ab"}, "element": {"rule": "indicator", "region": 5}},
+        ),
+        ("verify", {**PROJECTION_FILE, "element": {**IDENTITY, "params": []}}),
+        ("verify", {"model": {"kind": "twisted_sphere", "equator_theta": "nan"}, "element": IDENTITY}),
+        (
+            "verify",
+            {
+                "model": {"kind": "solenoid_aab_ab"},
+                "element": {
+                    "rule": "indicator",
+                    "region": {"pieces": [{"chart": 0, "box": [{"lo": NAN, "hi": 2.0}]}]},
+                },
+            },
+        ),
+        (
+            "verify",
+            {"model": {"kind": "pinch", "split_points": [0.5], "sheets": 2.7}, "element": IDENTITY},
+        ),
+        ("example", ["twisted-sphere", "samplez=5"]),
+        ("example", ["twisted-sphere", "seed=x"]),
+        ("example", ["aab-ab", "samples=1.5"]),
+        ("example", ["pinch", "m=-1"]),
+        ("example", ["pinch", "k=1"]),
     ],
 )
 def test_non_object_json_exit_2(tmp_path, capsys, command, payload):
-    path = write_json(tmp_path, "shape.json", payload)
-    argv = ["ktheory", "solve", path] if command == "ktheory" else ["verify", path]
+    """Malformed input, in a file or as an example's parameters, is a usage
+    error: exit 2, one ``error:`` line and no traceback, before any check."""
+    if command == "example":
+        name, *params = payload
+        argv = ["example", name] + [arg for p in params for arg in ("--param", p)]
+    else:
+        path = write_json(tmp_path, "shape.json", payload)
+        argv = ["ktheory", "solve", path] if command == "ktheory" else ["verify", path]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 class TestConsoleEntry:
