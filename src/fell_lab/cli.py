@@ -89,11 +89,12 @@ def _element_from_dict(model: spaces.SpaceModel, d: dict) -> conv.AlgebraElement
     if rule == "indicator":
         return conv.indicator_projection(model, conv.Region.from_dict(d["region"]))
     if rule == "grid":
+        def part(v: object) -> float:
+            return spaces.finite_float(v, "a grid matrix [re, im] value")
+
         values = []
         for pd in d["points"]:
-            mat = np.array(
-                [[complex(re, im) for re, im in row] for row in pd["matrix"]]
-            )
+            mat = np.array([[complex(part(re), part(im)) for re, im in row] for row in pd["matrix"]])
             values.append((spaces.point_from_dict(pd), mat))
         return conv.grid_element(model, values)
     raise ValueError(f"unknown element rule {rule!r}")
@@ -104,6 +105,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         data = _load_json(args.file)
         model = spaces.model_from_dict(data["model"])
         element = _element_from_dict(model, data["element"])
+        spaces.sample_count(args.samples)  # checked even where a grid ignores it
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

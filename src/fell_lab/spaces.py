@@ -260,9 +260,20 @@ def resolve_orbit(model: SpaceModel, y: PointRef) -> Orbit:
     return Orbit(tuple(sorted(members, key=qkey)))
 
 
+def sample_count(n: int) -> int:
+    """A requested number of samples: at least 1, never raised to a minimum quietly."""
+    if n < 1:
+        raise ParameterError(f"sample count must be at least 1, got {n}")
+    return n
+
+
 def sample_base_points(model: SpaceModel, n: int = 2000, seed: int = 0) -> list[PointRef]:
-    """Quasi-uniform per-chart samples plus all distinguished strata."""
-    return model.sample_points(n, seed)
+    """Quasi-uniform per-chart samples plus all distinguished strata.
+
+    Raises ``ParameterError`` for ``n < 1``; a model may draw more than ``n``
+    points, since every chart gets a minimal grid and the strata are added.
+    """
+    return model.sample_points(sample_count(n), seed)
 
 
 def approach_sequences(

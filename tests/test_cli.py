@@ -113,6 +113,14 @@ class TestExampleCommand:
     def test_bad_param_exit_2(self, capsys):
         assert main(["example", "pinch", "--param", "m3"]) == 2
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_pinch_without_split_points_passes(self, k, capsys):
+        # With m = 0 every fiber has k members; the size-1 fibers need a split point.
+        rc = main(["example", "pinch", "--param", "m=0", "--param", f"k={k}", "--json"])
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert rc == 0
+        assert checks["fiber_sizes"]["actual"] == f"[{k}]"
+
     def test_usage_error_exit_2(self, capsys):
         assert main(["no-such-command"]) == 2
 
@@ -327,17 +335,34 @@ class TestVerifyCommand:
         ("example", ["aab-ab", "samples=1.5"]),
         ("example", ["pinch", "m=-1"]),
         ("example", ["pinch", "k=1"]),
+        ("example", ["aab-ab", "samples=0"]),
+        ("example", ["broken-heart-wedge", "samples=-3"]),
+        ("example", ["twisted-sphere", "samples=-5"]),
+        ("verify --samples 0", PROJECTION_FILE),
+        ("verify --samples -3", PROJECTION_FILE),
+        (
+            "verify",
+            {
+                "model": {"kind": "solenoid_aab_ab"},
+                "element": {
+                    "rule": "grid",
+                    "points": [{"chart": 0, "coord": [2.5], "matrix": [[[True, False]]]}],
+                },
+            },
+        ),
     ],
 )
 def test_non_object_json_exit_2(tmp_path, capsys, command, payload):
-    """Malformed input, in a file or as an example's parameters, is a usage
-    error: exit 2, one ``error:`` line and no traceback, before any check."""
+    """Malformed input, in a file, in an option or as an example's parameters,
+    is a usage error: exit 2, one ``error:`` line and no traceback, before any
+    check."""
     if command == "example":
         name, *params = payload
         argv = ["example", name] + [arg for p in params for arg in ("--param", p)]
     else:
+        head, *options = command.split()
         path = write_json(tmp_path, "shape.json", payload)
-        argv = ["ktheory", "solve", path] if command == "ktheory" else ["verify", path]
+        argv = (["ktheory", "solve", path] if head == "ktheory" else ["verify", path]) + options
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

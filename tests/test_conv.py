@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fell_lab.conv import (
+    ALGEBRA_TOL,
+    VERIFY_CHUNK,
     AlgebraElement,
     IncompatibilityError,
     Interval,
@@ -25,6 +29,7 @@ from fell_lab.conv import (
     indicator_projection,
     product,
     restrict,
+    VerificationReport,
     twisted_sphere_projection,
     verify_fullness_witness,
     verify_projection,
@@ -32,11 +37,15 @@ from fell_lab.conv import (
 )
 from fell_lab.spaces import (
     BrokenHeart,
+    CoverChart,
     PinchCircle,
     PointRef,
     SolenoidAabAb,
+    Span,
     TwistedSphere,
     approach_sequences,
+    build_cover_groupoid,
+    interval_base,
     resolve_orbit,
     sample_base_points,
     wedge,
@@ -260,6 +269,136 @@ class TestVerifyProjection:
         d = rep.to_dict()
         assert d["samples_used"] == rep.samples_used
         assert str(rep.fullness_floor) in rep.text()
+
+
+def _opnorm(mat: np.ndarray) -> float:
+    return float(np.linalg.norm(mat, 2))
+
+
+def _verify_projection_reference(
+    p: AlgebraElement, samples: list[PointRef], tol: float = ALGEBRA_TOL
+) -> VerificationReport:
+    """Oracle: the per-sample loop, one evaluation and two SVDs per sample,
+    that the batched ``verify_projection`` replaced."""
+    if not samples:
+        raise ValueError("need at least one sample point")
+    max_idem = 0.0
+    max_sa = 0.0
+    floor = math.inf
+    for x in samples:
+        mat = evaluate(p, x).entries
+        max_idem = max(max_idem, _opnorm(mat @ mat - mat))
+        max_sa = max(max_sa, _opnorm(mat - mat.conj().T))
+        floor = min(floor, float(np.max(np.abs(mat))))
+    return VerificationReport(
+        max_idempotency_defect=max_idem,
+        max_selfadjoint_defect=max_sa,
+        fullness_floor=floor,
+        continuity_defects=(),
+        samples_used=len(samples),
+    )
+
+
+def assert_matches_reference(p: AlgebraElement, samples: list[PointRef]) -> VerificationReport:
+    rep = verify_projection(p, samples)
+    assert rep == _verify_projection_reference(p, samples)  # every field, exactly
+    return rep
+
+
+def quarters_cover():
+    """The unit interval covered 1, 2, 3 and 4 times on its four quarters."""
+    charts = [
+        CoverChart(pieces=(Span("x", lo, 1.0, lo == 0.0, True),)) for lo in (0.0, 0.25, 0.5, 0.75)
+    ]
+    return build_cover_groupoid(interval_base(), charts)
+
+
+def random_matrix(rng, d: int) -> np.ndarray:
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+class TestBatchedVerification:
+    """``verify_projection`` stacks fiber matrices by size; every report field
+    must equal the per-sample oracle's exactly."""
+
+    @pytest.mark.parametrize("perturb", [0.0, 1e-7])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_sphere_projection(self, perturb, seed):
+        model = TwistedSphere()
+        p = twisted_sphere_projection(model, perturb_first_diag=perturb)
+        rep = assert_matches_reference(p, sample_base_points(model, 3000, seed=seed))
+        assert rep.passes(1e-12) == (perturb == 0.0)
+
+    @pytest.mark.parametrize("make_model", [SolenoidAabAb, standard_wedge], ids=["aab-ab", "wedge"])
+    def test_indicators(self, make_model):
+        model = make_model()
+        ind = indicator_projection(model, A_CIRCLE_REGION)
+        assert_matches_reference(ind, sample_base_points(model, 800, seed=3))
+
+    def test_chunk_edges(self):
+        # Buckets one short of a chunk, exactly one, one over, and two plus one.
+        assert VERIFY_CHUNK == 256
+        model = quarters_cover()
+        rng = np.random.default_rng(5)
+        values = []
+        for quarter, count in enumerate((255, 256, 257, 513)):
+            for t in np.linspace(0.25 * quarter + 0.01, 0.25 * quarter + 0.24, count):
+                values.append((PointRef(0, (float(t),)), random_matrix(rng, quarter + 1)))
+        f = grid_element(model, values)
+        sizes = [resolve_orbit(model, x).size for x, _ in values]
+        assert [sizes.count(d) for d in (1, 2, 3, 4)] == [255, 256, 257, 513]
+        assert_matches_reference(f, [x for x, _ in values])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 700),
+        scale=st.sampled_from([1e-9, 1.0, 1e6]),
+        near_projection=st.booleans(),
+    )
+    def test_random_grid_on_wedge(self, seed, count, scale, near_projection):
+        # Near-projections give defects near zero, where ties and rounding
+        # would show first; plain random matrices give large defects.
+        model = standard_wedge()
+        rng = np.random.default_rng(seed)
+        points = {}
+        for x in sample_base_points(model, 800, seed=seed % 5):
+            points.setdefault(resolve_orbit(model, x).base_label, x)
+        values = []
+        for x in list(points.values())[:count]:
+            d = resolve_orbit(model, x).size
+            if near_projection:
+                q, _ = np.linalg.qr(random_matrix(rng, d))
+                diag = rng.integers(0, 2, d)
+                mat = (q * diag) @ q.conj().T + scale * 1e-12 * random_matrix(rng, d)
+            else:
+                mat = scale * random_matrix(rng, d)
+            values.append((x, mat))
+        f = grid_element(model, values)
+        assert_matches_reference(f, [x for x, _ in values])
+
+    def test_wedge_grid_covers_sizes_one_to_three(self):
+        model = standard_wedge()
+        sizes = {resolve_orbit(model, x).size for x in sample_base_points(model, 800, seed=0)}
+        assert sizes == {1, 2, 3}
+
+    def test_non_finite_product_rejected(self):
+        model = SolenoidAabAb()
+        x = PointRef(0, (2.5,))
+        f = grid_element(model, [(x, np.array([[1e200]], dtype=complex))])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            verify_projection(product(f, f), [x])
+
+    def test_overflowing_square_fails(self):
+        # 1e200 is finite but its square is not: the idempotency defect is
+        # NaN and the report fails; the per-sample loop dropped it and read 0.
+        model = SolenoidAabAb()
+        x = PointRef(0, (2.5,))
+        f = grid_element(model, [(x, np.array([[1e200]], dtype=complex))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = verify_projection(f, [x])
+        assert math.isnan(rep.max_idempotency_defect)
+        assert not rep.passes(1e-12)
 
 
 class TestFullness:
