@@ -112,11 +112,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if isinstance(element.rule, conv.GridRule):
         # A grid element is only defined at its own base points.
-        samples = [spaces.point_of_key(label) for label in element.rule.values]
+        samples = list(element.rule.points)
     else:
         samples = spaces.sample_base_points(model, args.samples, seed=args.seed)
 
-    report = conv.verify_projection(element, samples, tol=args.tol)
+    report = conv.verify_projection(element, samples)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:

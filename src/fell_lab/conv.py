@@ -42,7 +42,6 @@ from .spaces import (
     PointRef,
     SpaceModel,
     WedgeModel,
-    qkey,
     resolve_orbit,
 )
 
@@ -137,25 +136,6 @@ class Region:
                 return True
         return False
 
-    def to_dict(self) -> dict:
-        return {
-            "pieces": [
-                {
-                    "chart": p.chart,
-                    "box": [
-                        {
-                            "lo": iv.lo,
-                            "hi": iv.hi,
-                            "lo_closed": iv.lo_closed,
-                            "hi_closed": iv.hi_closed,
-                        }
-                        for iv in p.box
-                    ],
-                }
-                for p in self.pieces
-            ]
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Region":
         pieces = []
@@ -183,6 +163,7 @@ class BuiltinRule:
 @dataclass(frozen=True, eq=False)
 class GridRule:
     values: dict[tuple, np.ndarray]  # base label -> matrix
+    points: tuple[PointRef, ...]  # the given base points, one per value, in order
 
     def lookup(self, label: tuple) -> np.ndarray:
         try:
@@ -270,6 +251,7 @@ def grid_element(
     """Element given by explicit fiber matrices at finitely many base points."""
     items = values.items() if isinstance(values, Mapping) else values
     stored: dict[tuple, np.ndarray] = {}
+    points = []
     for point, arr in items:
         orbit = resolve_orbit(model, point)
         label = orbit.base_label
@@ -283,7 +265,8 @@ def grid_element(
         if not np.isfinite(mat).all():
             raise ValueError(f"grid value at base point {label!r} is not finite")
         stored[label] = mat
-    return AlgebraElement(model, GridRule(values=stored))
+        points.append(point)
+    return AlgebraElement(model, GridRule(values=stored, points=tuple(points)))
 
 
 def adjoint(f: AlgebraElement) -> AlgebraElement:
@@ -377,9 +360,7 @@ def _entries_at(f: AlgebraElement, orbit: Orbit) -> np.ndarray:
 
 def convolve(f: AlgebraElement, g: AlgebraElement, x: PointRef) -> FiberMatrix:
     """Convolution at one base point: the product of the fiber matrices."""
-    _check_same_model(f, g)
-    orbit = resolve_orbit(f.model, x)
-    return FiberMatrix(orbit, _entries_at(f, orbit) @ _entries_at(g, orbit))
+    return evaluate(product(f, g), x)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +399,10 @@ def indicator_projection(model: SpaceModel, region: Region) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     max_idempotency_defect: float
@@ -434,12 +419,13 @@ class VerificationReport:
         return self.max_idempotency_defect <= tol and self.max_selfadjoint_defect <= tol
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; a non-finite defect is ``None`` (strict JSON)."""
         return {
-            "max_idempotency_defect": self.max_idempotency_defect,
-            "max_selfadjoint_defect": self.max_selfadjoint_defect,
+            "max_idempotency_defect": _finite_or_none(self.max_idempotency_defect),
+            "max_selfadjoint_defect": _finite_or_none(self.max_selfadjoint_defect),
             "fullness_floor": self.fullness_floor,
             "continuity_defects": [
-                {"branch_class": name, "defect": d}
+                {"branch_class": name, "defect": _finite_or_none(d)}
                 for name, d in self.continuity_defects
             ],
             "samples_used": self.samples_used,
@@ -462,17 +448,13 @@ class VerificationReport:
 VERIFY_CHUNK = 256
 
 
-def verify_projection(
-    p: AlgebraElement,
-    samples: list[PointRef],
-    tol: float = ALGEBRA_TOL,
-) -> VerificationReport:
+def verify_projection(p: AlgebraElement, samples: list[PointRef]) -> VerificationReport:
     """Operator-norm defects of idempotency and self-adjointness over samples.
 
-    The report passes at ``tol`` iff both maxima are within it; the fullness
-    floor over the same samples is included for convenience.  Fiber matrices
-    are grouped by size and checked ``VERIFY_CHUNK`` at a time; the maxima
-    and the floor are those of the per-sample values.
+    ``report.passes(tol)`` holds iff both maxima are within ``tol``; the
+    fullness floor over the same samples is included for convenience.  Fiber
+    matrices are grouped by size and checked ``VERIFY_CHUNK`` at a time; the
+    maxima and the floor are those of the per-sample values.
     """
     if not samples:
         raise ValueError("need at least one sample point")
@@ -482,14 +464,16 @@ def verify_projection(
 
     def fold(pending: list[np.ndarray]) -> None:
         # np.maximum keeps a NaN defect (a square that overflows) instead of
-        # dropping it, so such a report fails rather than reading 0.
+        # dropping it, so such a report fails rather than reading 0; the
+        # overflow itself is that NaN, not a warning.
         nonlocal max_idem, max_sa, floor
         a = np.stack(pending)
         if not np.isfinite(a).all():
             raise ValueError("entries must be finite")
-        max_idem = np.maximum(max_idem, np.linalg.norm(a @ a - a, 2, axis=(1, 2)).max())
-        adj = a.conj().transpose(0, 2, 1)
-        max_sa = np.maximum(max_sa, np.linalg.norm(a - adj, 2, axis=(1, 2)).max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            max_idem = np.maximum(max_idem, np.linalg.norm(a @ a - a, 2, axis=(1, 2)).max())
+            adj = a.conj().transpose(0, 2, 1)
+            max_sa = np.maximum(max_sa, np.linalg.norm(a - adj, 2, axis=(1, 2)).max())
         floor = min(floor, float(np.abs(a).max(axis=(1, 2)).min()))
 
     by_size: dict[int, list[np.ndarray]] = {}

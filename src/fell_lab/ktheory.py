@@ -17,6 +17,7 @@ evaluations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .spaces import ParameterError  # re-exported: one class for both layers
@@ -252,19 +253,6 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
 # ---------------------------------------------------------------------------
 
 
-def _prime_powers(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 @dataclass(frozen=True)
 class FgAbGroup:
     """A finitely generated abelian group in canonical form.
@@ -290,29 +278,23 @@ class FgAbGroup:
     def from_divisors(cls, rank: int, divisors: list[int] | tuple[int, ...]) -> "FgAbGroup":
         """Canonicalize an arbitrary list of cyclic orders into invariant factors.
 
-        Divisors equal to 0 add free rank; divisors equal to 1 are dropped.
+        Divisors equal to 0 add free rank; the rest are combined pairwise by
+        Z/a (+) Z/b = Z/gcd(a, b) (+) Z/lcm(a, b), which leaves each entry
+        dividing every later one, and the 1s are dropped.
         """
-        exps: dict[int, list[int]] = {}
         r = rank
+        ds = []
         for d in divisors:
             d = abs(int(d))
             if d == 0:
                 r += 1
-                continue
-            if d == 1:
-                continue
-            for p, e in _prime_powers(d).items():
-                exps.setdefault(p, []).append(e)
-        depth = max((len(v) for v in exps.values()), default=0)
-        factors = []
-        for i in range(depth):
-            f = 1
-            for p, es in exps.items():
-                es_sorted = sorted(es, reverse=True)
-                if i < len(es_sorted):
-                    f *= p ** es_sorted[i]
-            factors.append(f)
-        return cls(rank=r, torsion=tuple(reversed(factors)))
+            elif d > 1:
+                ds.append(d)
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
+                g = math.gcd(ds[i], ds[j])
+                ds[i], ds[j] = g, ds[i] // g * ds[j]
+        return cls(rank=r, torsion=tuple(d for d in ds if d > 1))
 
     @property
     def is_trivial(self) -> bool:
@@ -341,17 +323,26 @@ class FgAbGroup:
         return " ⊕ ".join(parts) if parts else "0"
 
 
+def _kernel_cokernel(a: IntMatrix) -> tuple[FgAbGroup, FgAbGroup]:
+    """Kernel and cokernel of a, both read off one Smith form.
+
+    The nonzero diagonal is already an invariant-factor chain, so the
+    cokernel's torsion is its entries of at least 2, unsorted; ``FgAbGroup``
+    rejects a diagonal that is not a divisibility chain.
+    """
+    diag = [d for d in smith_normal_form(a).S.diagonal() if d != 0]
+    r = len(diag)
+    return FgAbGroup(a.cols - r), FgAbGroup(a.rows - r, tuple(d for d in diag if d >= 2))
+
+
 def kernel(a: IntMatrix) -> FgAbGroup:
     """Kernel of the map Z^cols -> Z^rows given by a; always free."""
-    r = sum(1 for d in smith_normal_form(a).S.diagonal() if d != 0)
-    return FgAbGroup(rank=a.cols - r)
+    return _kernel_cokernel(a)[0]
 
 
 def cokernel(a: IntMatrix) -> FgAbGroup:
     """Cokernel Z^rows / im(a); torsion given by the invariant factors."""
-    diag = smith_normal_form(a).S.diagonal()
-    r = sum(1 for d in diag if d != 0)
-    return FgAbGroup.from_divisors(a.rows - r, [d for d in diag if d >= 2])
+    return _kernel_cokernel(a)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +385,9 @@ def solve_six_term(s: TwoStrataSES) -> tuple[FgAbGroup, FgAbGroup]:
     coker(delta0) and ker(delta1); the kernels of integer matrices are free,
     so both extensions split and the answer is the direct sum.
     """
-    k0 = cokernel(s.delta1).direct_sum(kernel(s.delta0))
-    k1 = cokernel(s.delta0).direct_sum(kernel(s.delta1))
-    return k0, k1
+    ker0, coker0 = _kernel_cokernel(s.delta0)
+    ker1, coker1 = _kernel_cokernel(s.delta1)
+    return coker1.direct_sum(ker0), coker0.direct_sum(ker1)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +467,8 @@ def vertex_class_boundary(strat: OneDStratified) -> IntMatrix:
 def k_homology(delta0: IntMatrix) -> tuple[FgAbGroup, FgAbGroup]:
     """Dual K-groups from the transposed boundary matrix:
     (coker(delta0^T), ker(delta0^T))."""
-    t = delta0.transpose()
-    return cokernel(t), kernel(t)
+    ker, coker = _kernel_cokernel(delta0.transpose())
+    return coker, ker
 
 
 @dataclass(frozen=True)
@@ -515,17 +506,13 @@ def pinch_k_theory(
     )
 
 
-def pinch_strata_oracle(
-    m: int, k: int, m_kind: str = "circle"
-) -> tuple[FgAbGroup, FgAbGroup]:
+def pinch_strata_oracle(m: int, k: int) -> tuple[FgAbGroup, FgAbGroup]:
     """Independent route to the pinch K-groups through the six-term solver.
 
     For the circle with an m-point split set: the ideal contributes the
     circle's K-groups (corner inclusion is a K-isomorphism), the quotient
     contributes Z^(m(k-1)) in degree 0, and both boundary maps vanish.
     """
-    if m_kind != "circle":
-        raise ParameterError(f"unsupported base kind {m_kind!r}")
     if m < 0:
         raise ParameterError("split-set size must be nonnegative")
     if k < 2:

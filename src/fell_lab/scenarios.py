@@ -241,7 +241,7 @@ def _run_twisted_sphere(p: dict) -> _Outcome:
     model = TwistedSphere()
     proj = twisted_sphere_projection(model)
     samples = sample_base_points(model, p["samples"], seed=p["seed"])
-    rep = verify_projection(proj, samples, tol=tol)
+    rep = verify_projection(proj, samples)
     seqs = approach_sequences(model, "equator", 16, 0.01)
     defects = check_branch_continuity(proj, seqs, tol=1e-6)
     trace_err = 0.0

@@ -102,12 +102,6 @@ def qkey(p: PointRef) -> tuple:
     return (p.chart, tuple(round(c * _QSCALE) for c in p.coord))
 
 
-def point_of_key(key: tuple) -> PointRef:
-    """The point a ``qkey`` stands for, at the key's 1e-9 resolution."""
-    chart, qcoord = key
-    return PointRef(chart, tuple(c / _QSCALE for c in qcoord))
-
-
 def _snap(x: float, targets: tuple[float, ...], tol: float = TOL) -> float | None:
     for tgt in targets:
         if abs(x - tgt) <= tol:
@@ -133,15 +127,19 @@ class BranchClass:
 
 @dataclass(frozen=True)
 class Orbit:
-    """A full fiber in canonical order; the index set of fiber matrices."""
+    """A full fiber in canonical order; the index set of fiber matrices.
 
-    members: tuple[PointRef, ...]
+    ``keys`` holds the ``qkey`` of each member, in the same order; orbits
+    compare and hash by their keys alone.
+    """
+
+    members: tuple[PointRef, ...] = field(compare=False)
+    keys: tuple[tuple, ...]
 
     def __post_init__(self) -> None:
         if not self.members:
             raise ValueError("orbit must be nonempty")
-        keys = [qkey(m) for m in self.members]
-        if len(set(keys)) != len(keys):
+        if len(set(self.keys)) != len(self.keys):
             raise ValueError("orbit has duplicate members")
 
     @property
@@ -151,18 +149,7 @@ class Orbit:
     @property
     def base_label(self) -> tuple:
         """Opaque identifier of the base point (key of the first member)."""
-        return qkey(self.members[0])
-
-    def member_keys(self) -> tuple[tuple, ...]:
-        return tuple(qkey(m) for m in self.members)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Orbit):
-            return NotImplemented
-        return self.member_keys() == other.member_keys()
-
-    def __hash__(self) -> int:
-        return hash(self.member_keys())
+        return self.keys[0]
 
 
 @dataclass(frozen=True)
@@ -256,8 +243,8 @@ def resolve_orbit(model: SpaceModel, y: PointRef) -> Orbit:
     (after 1e-9 quantization); resolving again from any member returns an
     equal orbit.
     """
-    members = model.orbit_members(model.normalize(y))
-    return Orbit(tuple(sorted(members, key=qkey)))
+    keyed = sorted((qkey(m), m) for m in model.orbit_members(model.normalize(y)))
+    return Orbit(tuple(m for _, m in keyed), tuple(k for k, _ in keyed))
 
 
 def sample_count(n: int) -> int:
@@ -1058,16 +1045,19 @@ class CoverModel(SpaceModel):
         }
 
 
+# Points per stratum of the grid on which a chart cover's coverage is checked.
+COVER_CHECK_GRID = 128
+
+
 def build_cover_groupoid(
     base: BaseSpace | str,
     charts: list[CoverChart] | tuple[CoverChart, ...],
-    grid: int = 128,
 ) -> CoverModel:
     """Model of the identity-on-charts projection from a chart cover.
 
-    Coverage of the base is checked on a sample grid of ``grid`` points per
-    stratum; an uncovered point raises ``CoverageError``.  Hausdorffness of
-    the individual charts is a precondition on the caller.
+    Coverage of the base is checked on a sample grid of ``COVER_CHECK_GRID``
+    points per stratum; an uncovered point raises ``CoverageError``.
+    Hausdorffness of the individual charts is a precondition on the caller.
     """
     if isinstance(base, str):
         try:
@@ -1075,7 +1065,7 @@ def build_cover_groupoid(
         except KeyError:
             raise ParameterError(f"unknown base space {base!r}") from None
     model = CoverModel(base=base, cover_charts=tuple(charts))
-    for x in base.grid(grid):
+    for x in base.grid(COVER_CHECK_GRID):
         if all(cc.local_of(x) is None for cc in model.cover_charts):
             raise CoverageError(f"base point {x!r} is not covered by any chart")
     return model

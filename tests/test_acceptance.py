@@ -123,7 +123,7 @@ def test_criterion_5_twisted_sphere_full_verification():
     assert qkey(named["south_pole"]) in keys
     assert qkey(named["equator_rep"]) in keys
 
-    rep = verify_projection(p, samples, tol=1e-12)
+    rep = verify_projection(p, samples)
     floor = rep.fullness_floor
     seqs = approach_sequences(model, "equator", 16, 0.01)
     continuity = max(d.defect for d in check_branch_continuity(p, seqs, tol=1e-6))

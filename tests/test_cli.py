@@ -268,6 +268,31 @@ class TestVerifyCommand:
         assert rc == 0
         assert report["samples_used"] == 2
 
+    def test_overflowing_square_fails_quietly_with_strict_json(self, tmp_path, capsys):
+        # 1e200 is finite, its square is not: the defect is NaN and the check
+        # fails, with no numpy warning on stderr and `null` in the JSON.
+        payload = {
+            "model": {"kind": "solenoid_aab_ab"},
+            "element": {
+                "rule": "grid",
+                "points": [{"chart": 0, "coord": [2.5], "matrix": [[[1e200, 0.0]]]}],
+            },
+        }
+        path = write_json(tmp_path, "overflow.json", payload)
+        assert main(["verify", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "max_idempotency_defect: nan" in captured.out
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        assert main(["verify", path, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out, parse_constant=reject)
+        assert report["max_idempotency_defect"] is None
+
     def test_model_mismatch_exit_2(self, tmp_path, capsys):
         payload = {
             "model": {"kind": "solenoid_aab_ab"},

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+
+import fell_lab.ktheory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,6 +77,59 @@ def random_unimodular(rng, n, ops=6):
         else:
             rows[i] = [-x for x in rows[i]]
     return IntMatrix.from_rows(rows, cols=n)
+
+
+def _prime_powers(n):
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def from_divisors_by_prime_powers(rank, divisors):
+    """Reference canonicalization: split every order into prime powers, then
+    build the i-th largest invariant factor from the i-th largest power of
+    each prime."""
+    exps = {}
+    r = rank
+    for d in divisors:
+        d = abs(int(d))
+        if d == 0:
+            r += 1
+            continue
+        if d == 1:
+            continue
+        for p, e in _prime_powers(d).items():
+            exps.setdefault(p, []).append(e)
+    depth = max((len(v) for v in exps.values()), default=0)
+    factors = []
+    for i in range(depth):
+        f = 1
+        for p, es in exps.items():
+            es_sorted = sorted(es, reverse=True)
+            if i < len(es_sorted):
+                f *= p ** es_sorted[i]
+        factors.append(f)
+    return FgAbGroup(rank=r, torsion=tuple(reversed(factors)))
+
+
+def count_snf_calls(monkeypatch):
+    """Count calls of ``smith_normal_form`` made from inside the module."""
+    calls = []
+    inner = fell_lab.ktheory.smith_normal_form
+
+    def counted(a):
+        calls.append(a)
+        return inner(a)
+
+    monkeypatch.setattr(fell_lab.ktheory, "smith_normal_form", counted)
+    return calls
 
 
 def assert_snf_postconditions(a):
@@ -157,6 +212,14 @@ class TestKernelCokernel:
             assert kernel(a).rank + r == a.cols
             assert cokernel(a).rank + r == a.rows
 
+    def test_one_smith_form_per_matrix(self, monkeypatch):
+        calls = count_snf_calls(monkeypatch)
+        solve_six_term(SPLICE_SES)
+        assert len(calls) == 2  # delta0 and delta1
+        calls.clear()
+        k_homology(SPLICE_DELTA0)
+        assert len(calls) == 1
+
     def test_basis_invariance(self):
         rng = random.Random(12)
         for _ in range(40):
@@ -172,6 +235,17 @@ class TestFgAbGroup:
     def test_canonicalization(self):
         g = FgAbGroup.from_divisors(1, [2, 3, 4])
         assert g == FgAbGroup(1, (2, 12))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rank=st.integers(0, 3),
+        divisors=st.lists(
+            st.one_of(st.sampled_from([0, 1, -1]), st.integers(-500, 500)), max_size=10
+        ),
+    )
+    def test_gcd_lcm_matches_prime_powers(self, rank, divisors):
+        expected = from_divisors_by_prime_powers(rank, divisors)
+        assert FgAbGroup.from_divisors(rank, divisors) == expected
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,6 @@ from fell_lab.spaces import (
     build_cover_groupoid,
     interval_base,
     model_from_dict,
-    point_of_key,
     qkey,
     resolve_orbit,
     sample_base_points,
@@ -189,7 +188,7 @@ class TestPartitionProperty:
         for i in range(0, len(orbits), 7):
             for j in range(0, len(orbits), 11):
                 a, b = orbits[i], orbits[j]
-                keys_a, keys_b = set(a.member_keys()), set(b.member_keys())
+                keys_a, keys_b = set(a.keys), set(b.keys)
                 assert a == b or not (keys_a & keys_b)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
@@ -198,7 +197,7 @@ class TestPartitionProperty:
             orbit = resolve_orbit(model, y)
             for m in orbit.members:
                 again = resolve_orbit(model, m)
-                assert again.member_keys() == orbit.member_keys()
+                assert again.keys == orbit.keys
 
 
 class TestPinch:
@@ -438,17 +437,17 @@ class TestSampling:
     @pytest.mark.parametrize(
         "model", ALL_MODELS + [aab_ab_figure_cover()], ids=lambda m: m.kind
     )
-    def test_point_of_key_inverts_base_label(self, model):
-        for y in sample_base_points(model, 300, seed=5):
-            orbit = resolve_orbit(model, y)
-            back = resolve_orbit(model, point_of_key(orbit.base_label))
-            assert back.base_label == orbit.base_label
-            # On the sphere the half-turn and doubled-angle members of the
-            # requantized point may round to the neighbouring 1e-9 quantum.
-            if model.kind == "twisted_sphere":
-                assert_orbits_close(model, back, orbit)
-            else:
-                assert back == orbit
+    def test_orbit_keys_fixed_at_resolution(self, model):
+        orbits = [resolve_orbit(model, y) for y in sample_base_points(model, 300, seed=5)]
+        for orbit in orbits:
+            assert orbit.keys == tuple(qkey(m) for m in orbit.members)
+            assert orbit.base_label == orbit.keys[0]
+            for m in orbit.members:  # the same fiber, resolved from each member
+                again = resolve_orbit(model, m)
+                if again.keys == orbit.keys:
+                    assert again == orbit and hash(again) == hash(orbit)
+        # Orbits are equal exactly when their keys are.
+        assert len(set(orbits)) == len({o.keys for o in orbits})
 
     def test_twisted_sphere_samples_include_strata(self):
         model = TwistedSphere()
