@@ -106,6 +106,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         model = spaces.model_from_dict(data["model"])
         element = _element_from_dict(model, data["element"])
         spaces.sample_count(args.samples)  # checked even where a grid ignores it
+        tol = spaces.finite_float(args.tol, "--tol")
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -121,7 +122,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.text())
-    return 0 if report.passes(args.tol) else CHECK_FAILED
+    return 0 if report.passes(tol) else CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -144,8 +144,8 @@ class Region:
                 Interval(
                     lo=spaces.finite_float(b["lo"], "lo"),
                     hi=spaces.finite_float(b["hi"], "hi"),
-                    lo_closed=bool(b.get("lo_closed", True)),
-                    hi_closed=bool(b.get("hi_closed", True)),
+                    lo_closed=spaces.json_bool(b.get("lo_closed", True), "lo_closed"),
+                    hi_closed=spaces.json_bool(b.get("hi_closed", True), "hi_closed"),
                 )
                 for b in pd["box"]
             )

@@ -1,9 +1,9 @@
 """Exact integer linear algebra for two-strata K-theory computations.
 
 All arithmetic is plain Python ``int`` (arbitrary precision), so every
-postcondition here is an exact identity: ``U @ A @ V == S`` for the Smith
-normal form, kernels and cokernels of integer matrices as finitely generated
-abelian groups in canonical form, and the six-term solver
+result here is exact: the invariant-factor diagonal of the Smith normal form,
+kernels and cokernels of integer matrices as finitely generated abelian
+groups in canonical form, and the six-term solver
 
     K0 = coker(delta1) (+) ker(delta0)
     K1 = coker(delta0) (+) ker(delta1)
@@ -53,7 +53,7 @@ class IntMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        if not all(isinstance(e, int) for e in self.entries):
+        if not all(type(e) is int for e in self.entries):  # excludes bool and float
             raise ValueError("entries must be integers")
 
     @classmethod
@@ -64,15 +64,11 @@ class IntMatrix:
         c = len(rows[0])
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return cls(r, c, tuple(int(x) for row in rows for x in row))
+        return cls(r, c, tuple(x for row in rows for x in row))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -90,98 +86,32 @@ class IntMatrix:
             tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
         )
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        out = []
-        for i in range(self.rows):
-            row = self.entries[i * self.cols : (i + 1) * self.cols]
-            for j in range(other.cols):
-                out.append(
-                    sum(row[k] * other.entry(k, j) for k in range(self.cols))
-                )
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entry(i, i) for i in range(min(self.rows, self.cols)))
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
 
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SNFResult:
-    """Unimodular U, V and diagonal S with U @ A @ V == S exactly."""
+def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
+    """Invariant-factor diagonal of an integer matrix.
 
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
-
-
-def smith_normal_form(a: IntMatrix) -> SNFResult:
-    """Diagonalize an integer matrix by unimodular row/column operations.
-
-    The diagonal of S is nonnegative and forms a divisibility chain
-    d1 | d2 | ... ; U and V collect the row and column operations, so
-    ``U @ a @ V == S`` holds as an exact integer identity.
+    Unimodular row and column operations reduce ``a`` to a diagonal S; the
+    result is S's diagonal, ``min(rows, cols)`` nonnegative entries that form
+    a divisibility chain d1 | d2 | ... with the zeros last.
     """
     m, n = a.rows, a.cols
     s = a.to_rows()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_sub(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
         s[i] = [x - q * y for x, y in zip(s[i], s[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_sub(i: int, j: int, q: int) -> None:  # col_i -= q * col_j
         for row in s:
             row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i: int, j: int) -> None:
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i: int, j: int) -> None:
         for row in s:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(i: int) -> None:
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
 
     def min_pivot(t: int) -> tuple[int, int] | None:
         best = None
@@ -206,11 +136,11 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
                 done = True
                 break
             if pivot[0] != t:
-                swap_rows(pivot[0], t)
+                s[pivot[0]], s[t] = s[t], s[pivot[0]]
             if pivot[1] != t:
                 swap_cols(pivot[1], t)
             if s[t][t] < 0:
-                negate_row(t)
+                s[t] = [-x for x in s[t]]
             dirty = False
             for i in range(t + 1, m):
                 if s[i][t] != 0:
@@ -241,11 +171,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             break
         t += 1
 
-    return SNFResult(
-        U=IntMatrix.from_rows(u, cols=m),
-        S=IntMatrix.from_rows(s, cols=n),
-        V=IntMatrix.from_rows(v, cols=n),
-    )
+    return tuple(s[i][i] for i in range(min(m, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +256,7 @@ def _kernel_cokernel(a: IntMatrix) -> tuple[FgAbGroup, FgAbGroup]:
     cokernel's torsion is its entries of at least 2, unsorted; ``FgAbGroup``
     rejects a diagonal that is not a divisibility chain.
     """
-    diag = [d for d in smith_normal_form(a).S.diagonal() if d != 0]
+    diag = [d for d in smith_normal_form(a) if d != 0]
     r = len(diag)
     return FgAbGroup(a.cols - r), FgAbGroup(a.rows - r, tuple(d for d in diag if d >= 2))
 

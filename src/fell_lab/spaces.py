@@ -73,6 +73,13 @@ def exact_int(value: object, what: str) -> int:
     return value
 
 
+def json_bool(value: object, what: str) -> bool:
+    """A flag: JSON true or false; no other value stands in for one."""
+    if type(value) is not bool:
+        raise ParameterError(f"{what} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def finite_float(value: object, what: str) -> float:
     """A real number: a finite JSON integer or float (bool excluded)."""
     try:
@@ -1137,9 +1144,9 @@ def model_from_dict(d: dict) -> SpaceModel:
                             stratum=pd["stratum"],
                             lo=finite_float(pd["lo"], "lo"),
                             hi=finite_float(pd["hi"], "hi"),
-                            lo_closed=bool(pd.get("lo_closed", False)),
-                            hi_closed=bool(pd.get("hi_closed", False)),
-                            reverse=bool(pd.get("reverse", False)),
+                            lo_closed=json_bool(pd.get("lo_closed", False), "lo_closed"),
+                            hi_closed=json_bool(pd.get("hi_closed", False), "hi_closed"),
+                            reverse=json_bool(pd.get("reverse", False), "reverse"),
                         )
                     )
             charts.append(CoverChart(pieces=tuple(pieces)))

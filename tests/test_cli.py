@@ -35,6 +35,25 @@ NAN = float("nan")  # json.dumps writes it as NaN, which json.load accepts
 IDENTITY = {"rule": "builtin", "name": "identity"}
 
 
+def aab_ab_indicator_file(box):
+    return {
+        "model": {"kind": "solenoid_aab_ab"},
+        "element": {"rule": "indicator", "region": {"pieces": [{"chart": 0, "box": [box]}]}},
+    }
+
+
+AAB_AB_INDICATOR_FILE = aab_ab_indicator_file({"lo": 1.0, "hi": 2.0, "hi_closed": False})
+
+
+def interval_cover_file(flags):
+    """The unit interval covered by one chart whose span carries ``flags``."""
+    span = {"stratum": "x", "lo": 0.0, "hi": 1.0, **flags}
+    return {
+        "model": {"kind": "cover", "base": "interval", "charts": [{"pieces": [span]}]},
+        "element": IDENTITY,
+    }
+
+
 class TestScenarios:
     def test_aab_ab_report(self):
         result = run_scenario(ScenarioSpec("aab-ab"))
@@ -216,27 +235,7 @@ class TestVerifyCommand:
         assert 0.09 <= report["max_idempotency_defect"] <= 0.16
 
     def test_indicator_passes_exactly(self, tmp_path, capsys):
-        payload = {
-            "model": {"kind": "solenoid_aab_ab"},
-            "element": {
-                "rule": "indicator",
-                "region": {
-                    "pieces": [
-                        {
-                            "chart": 0,
-                            "box": [
-                                {
-                                    "lo": 1.0,
-                                    "hi": 2.0,
-                                    "lo_closed": True,
-                                    "hi_closed": False,
-                                }
-                            ],
-                        }
-                    ]
-                },
-            },
-        }
+        payload = aab_ab_indicator_file({"lo": 1.0, "hi": 2.0, "lo_closed": True, "hi_closed": False})
         path = write_json(tmp_path, "ind.json", payload)
         rc = main(["verify", path, "--samples", "400", "--json"])
         report = json.loads(capsys.readouterr().out)
@@ -375,6 +374,12 @@ class TestVerifyCommand:
                 },
             },
         ),
+        ("verify --tol nan", AAB_AB_INDICATOR_FILE),
+        ("verify --tol inf", AAB_AB_INDICATOR_FILE),
+        ("verify", interval_cover_file({"lo_closed": "no", "hi_closed": 1})),
+        ("verify", interval_cover_file({"lo_closed": True, "hi_closed": True, "reverse": 0})),
+        ("verify", aab_ab_indicator_file({"lo": 1.0, "hi": 1.5, "hi_closed": "false"})),
+        ("verify", aab_ab_indicator_file({"lo": 1.0, "hi": 1.5, "lo_closed": None})),
     ],
 )
 def test_non_object_json_exit_2(tmp_path, capsys, command, payload):

@@ -16,7 +16,6 @@ from fell_lab.ktheory import (
     TwoStrataSES,
     UnsupportedInputError,
     cokernel,
-    determinant,
     duality_check,
     k_homology,
     kernel,
@@ -27,6 +26,12 @@ from fell_lab.ktheory import (
     smith_normal_form,
     solve_six_term,
     vertex_class_boundary,
+)
+from snf_reference import (
+    assert_snf_postconditions,
+    identity,
+    matmul,
+    smith_normal_form_reference,
 )
 
 Z = FgAbGroup(1)
@@ -132,49 +137,54 @@ def count_snf_calls(monkeypatch):
     return calls
 
 
-def assert_snf_postconditions(a):
-    res = smith_normal_form(a)
-    assert res.U @ a @ res.V == res.S
-    assert abs(determinant(res.U)) == 1
-    assert abs(determinant(res.V)) == 1
-    diag = res.S.diagonal()
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if i != j:
-                assert res.S.entry(i, j) == 0
-    for d in diag:
-        assert d >= 0
-    for x, y in zip(diag, diag[1:]):
-        if x == 0:
-            assert y == 0
-        elif y != 0:
-            assert y % x == 0
-    return res
+@st.composite
+def int_matrices(draw, max_dim, bound):
+    """Rectangular integer matrices, empty shapes included."""
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    entries = draw(
+        st.lists(st.integers(-bound, bound), min_size=rows * cols, max_size=rows * cols)
+    )
+    return IntMatrix(rows, cols, tuple(entries))
+
+
+class TestIntMatrix:
+    @pytest.mark.parametrize("value", [2.7, 2.0, True])
+    def test_inexact_entry_rejected(self, value):
+        with pytest.raises(ValueError, match="integers"):
+            IntMatrix.from_rows([[value]])
+        with pytest.raises(ValueError, match="integers"):
+            IntMatrix(1, 1, (value,))
 
 
 class TestSmithNormalForm:
+    """The library returns the invariant-factor diagonal; every property of
+    the full form is certified on ``smith_normal_form_reference`` and its
+    diagonal compared with the library's."""
+
     def test_identity(self):
-        res = smith_normal_form(IntMatrix.identity(3))
-        assert res.S == IntMatrix.identity(3)
+        _, s, _ = assert_snf_postconditions(identity(3))
+        assert s == identity(3)
 
     def test_two_by_two(self):
         # d1 = gcd of all entries = 2, d1*d2 = |det| = 8, so S = diag(2, 4).
         a = IntMatrix.from_rows([[2, 4], [6, 8]])
-        res = assert_snf_postconditions(a)
-        assert res.S == IntMatrix.from_rows([[2, 0], [0, 4]])
+        _, s, _ = assert_snf_postconditions(a)
+        assert s == IntMatrix.from_rows([[2, 0], [0, 4]])
 
     def test_splice_boundary(self):
         # Rank 1 by minors, gcd 1: diag(1, 0) padded to 2x3.
-        res = assert_snf_postconditions(SPLICE_DELTA0)
-        assert res.S == IntMatrix.from_rows([[1, 0, 0], [0, 0, 0]])
+        _, s, _ = assert_snf_postconditions(SPLICE_DELTA0)
+        assert s == IntMatrix.from_rows([[1, 0, 0], [0, 0, 0]])
 
     def test_empty_shapes(self):
         for rows, cols in [(0, 0), (0, 3), (3, 0)]:
             a = IntMatrix.zero(rows, cols)
-            res = smith_normal_form(a)
-            assert res.S == a
-            assert res.U == IntMatrix.identity(rows)
-            assert res.V == IntMatrix.identity(cols)
+            u, s, v = smith_normal_form_reference(a)
+            assert s == a
+            assert u == identity(rows)
+            assert v == identity(cols)
+            assert smith_normal_form(a) == ()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -186,6 +196,11 @@ class TestSmithNormalForm:
     )
     def test_postconditions_hypothesis(self, rows):
         assert_snf_postconditions(IntMatrix.from_rows(rows))
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices(max_dim=12, bound=9))
+    def test_diagonal_matches_reference(self, a):
+        assert_snf_postconditions(a)
 
 
 class TestKernelCokernel:
@@ -208,7 +223,7 @@ class TestKernelCokernel:
         rng = random.Random(11)
         for _ in range(60):
             a = random_matrix(rng, max_dim=6)
-            r = sum(1 for d in smith_normal_form(a).S.diagonal() if d != 0)
+            r = sum(1 for d in smith_normal_form(a) if d != 0)
             assert kernel(a).rank + r == a.cols
             assert cokernel(a).rank + r == a.rows
 
@@ -226,7 +241,7 @@ class TestKernelCokernel:
             a = random_matrix(rng, max_dim=5, bound=9)
             p = random_unimodular(rng, a.rows)
             q = random_unimodular(rng, a.cols)
-            b = p @ a @ q
+            b = matmul(p, a, q)
             assert kernel(b) == kernel(a)
             assert cokernel(b) == cokernel(a)
 

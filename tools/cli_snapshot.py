@@ -61,6 +61,15 @@ def input_files(where: Path) -> dict[str, str]:
         "wedge-grid-perturbed": workloads.grid_file(300, True, random.Random(2)).data,
         "ktheory-10": workloads.ktheory_system(10, random.Random(3)).data,
         "ktheory-25": workloads.ktheory_system(25, random.Random(4)).data,
+        "ktheory-40": workloads.ktheory_system(40, random.Random(5)).data,
+        # Rectangular: the splice system's delta0 is 2 x 3.
+        "ktheory-splice": {
+            "K0_I": {"rank": 0},
+            "K1_I": {"rank": 2},
+            "K0_Q": {"rank": 3},
+            "K1_Q": {"rank": 0},
+            "delta0": {"rows": 2, "cols": 3, "entries": [-1, 1, 0, 1, -1, 0]},
+        },
     }
     where.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -91,7 +100,7 @@ def cases(files: dict[str, str]) -> list[tuple[str, list[str]]]:
     out.append(("verify-wedge-grid-json", ["verify", files["wedge-grid"], "--json"]))
     out.append(("verify-wedge-grid-perturbed-json",
                 ["verify", files["wedge-grid-perturbed"], "--json"]))
-    for name in ("ktheory-10", "ktheory-25"):
+    for name in ("ktheory-10", "ktheory-25", "ktheory-40", "ktheory-splice"):
         out.append((f"{name}-json", ["ktheory", "solve", files[name], "--json"]))
     return out
 
