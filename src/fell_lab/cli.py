@@ -16,8 +16,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import conv, ktheory, scenarios, spaces
 
 USAGE_ERROR = 2
@@ -79,32 +77,11 @@ def cmd_ktheory_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _element_from_dict(model: spaces.SpaceModel, d: dict) -> conv.AlgebraElement:
-    d = spaces.json_object(d, "an element")
-    rule = d.get("rule")
-    if rule == "builtin":
-        params = spaces.json_object(d.get("params", {}), "builtin params")
-        kwargs = {k: spaces.finite_float(v, f"param {k!r}") for k, v in params.items()}
-        return conv.builtin_element(model, d["name"], **kwargs)
-    if rule == "indicator":
-        return conv.indicator_projection(model, conv.Region.from_dict(d["region"]))
-    if rule == "grid":
-        def part(v: object) -> float:
-            return spaces.finite_float(v, "a grid matrix [re, im] value")
-
-        values = []
-        for pd in d["points"]:
-            mat = np.array([[complex(part(re), part(im)) for re, im in row] for row in pd["matrix"]])
-            values.append((spaces.point_from_dict(pd), mat))
-        return conv.grid_element(model, values)
-    raise ValueError(f"unknown element rule {rule!r}")
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         data = _load_json(args.file)
         model = spaces.model_from_dict(data["model"])
-        element = _element_from_dict(model, data["element"])
+        element = conv.element_from_dict(model, data["element"])
         spaces.sample_count(args.samples)  # checked even where a grid ignores it
         tol = spaces.finite_float(args.tol, "--tol")
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -156,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify an element from a file")
     p_verify.add_argument("file", help="JSON file describing a model and an element")
     p_verify.add_argument("--samples", type=int, default=10000)
-    p_verify.add_argument("--tol", type=float, default=1e-12)
+    p_verify.add_argument("--tol", type=float, default=conv.ALGEBRA_TOL)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)

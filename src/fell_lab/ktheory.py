@@ -47,6 +47,8 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.rows) is not int or type(self.cols) is not int:  # excludes bool and float
+            raise ValueError("matrix dimensions must be integers")
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:

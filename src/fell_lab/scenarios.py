@@ -15,6 +15,8 @@ from typing import Any, Callable, NamedTuple
 
 from . import spaces
 from .conv import (
+    ALGEBRA_TOL,
+    CONTINUITY_TOL,
     Interval,
     Region,
     RegionPiece,
@@ -243,7 +245,7 @@ def _run_twisted_sphere(p: dict) -> _Outcome:
     samples = sample_base_points(model, p["samples"], seed=p["seed"])
     rep = verify_projection(proj, samples)
     seqs = approach_sequences(model, "equator", 16, 0.01)
-    defects = check_branch_continuity(proj, seqs, tol=1e-6)
+    defects = check_branch_continuity(proj, seqs)
     trace_err = 0.0
     for x in samples[:: max(len(samples) // 500, 1)]:
         mat = evaluate(proj, x)
@@ -254,7 +256,7 @@ def _run_twisted_sphere(p: dict) -> _Outcome:
         _bound("selfadjoint_defect", rep.max_selfadjoint_defect, tol),
         Check("fullness_floor", rep.fullness_floor >= 0.25, ">= 0.25", f"{rep.fullness_floor:g}",
               "derived"),
-        _bound("branch_continuity_defect", max(d.defect for d in defects), 1e-6),
+        _bound("branch_continuity_defect", max(d.defect for d in defects), CONTINUITY_TOL),
         _bound("fiber_trace_defect", trace_err, tol),
     ]
     return checks, ("has full projection (numerical witness)",)
@@ -293,7 +295,7 @@ _SCENARIOS = {
     "broken-heart": _Scenario(_run_broken_heart, {"seed": 0}),
     "broken-heart-wedge": _Scenario(_run_broken_heart_wedge, {"samples": 800, "seed": 0}),
     "twisted-sphere": _Scenario(
-        _run_twisted_sphere, {"samples": 10000, "tol": 1e-12, "seed": 0}
+        _run_twisted_sphere, {"samples": 10000, "tol": ALGEBRA_TOL, "seed": 0}
     ),
     "pinch": _Scenario(_run_pinch, {"m": 3, "k": 2, "seed": 0}, echo=("m", "k")),
 }

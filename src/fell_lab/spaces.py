@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar, NamedTuple
 
 TOL = 1e-9
 _QSCALE = 1e9
@@ -184,7 +184,7 @@ class ApproachSequence:
 class SpaceModel:
     """Shared surface of all models; subclasses fill in the geometry."""
 
-    kind: str = "abstract"
+    kind: ClassVar[str]  # the file-format name, declared once per model class
 
     @property
     def charts(self) -> tuple[float | None, ...]:
@@ -240,7 +240,19 @@ class SpaceModel:
         return pairs
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The form ``model_from_dict`` reads: ``kind`` plus each constructor
+        field, points as ``{"chart", "coord"}`` and nested models likewise."""
+        out = {"kind": self.kind}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, SpaceModel):
+                value = value.to_dict()
+            elif isinstance(value, PointRef):
+                value = {"chart": value.chart, "coord": list(value.coord)}
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
+        return out
 
 
 def resolve_orbit(model: SpaceModel, y: PointRef) -> Orbit:
@@ -322,9 +334,8 @@ class SolenoidAabAb(SpaceModel):
     non-separated base points.
     """
 
-    kind: str = field(default="solenoid_aab_ab", init=False)
-
-    MARKS = (0.0, 1.0, 2.0)
+    kind: ClassVar[str] = "solenoid_aab_ab"
+    MARKS: ClassVar[tuple[float, ...]] = (0.0, 1.0, 2.0)
 
     @property
     def charts(self) -> tuple[float | None, ...]:
@@ -346,14 +357,14 @@ class SolenoidAabAb(SpaceModel):
         if y.chart != 0 or len(y.coord) != 1:
             raise DomainError(f"invalid point {y!r} for {self.kind}")
         theta = y.coord[0] % 3.0
-        snapped = _snap(theta, (0.0, 1.0, 2.0, 3.0))
+        snapped = _snap(theta, self.MARKS + (3.0,))
         if snapped is not None:
             theta = snapped % 3.0
         return PointRef(0, (theta,))
 
     def orbit_members(self, y: PointRef) -> list[PointRef]:
         theta = y.coord[0]
-        if theta in (0.0, 1.0, 2.0):
+        if theta in self.MARKS:
             return [y]
         if theta < 1.0:
             return [y, PointRef(0, (theta + 1.0,))]
@@ -365,7 +376,7 @@ class SolenoidAabAb(SpaceModel):
         rng = random.Random(seed)
         pts = []
         for theta in _jittered_grid(max(n, 3), 0.0, 3.0, rng):
-            if min(abs(theta - m) for m in (0.0, 1.0, 2.0, 3.0)) < 1e-6:
+            if min(abs(theta - m) for m in self.MARKS + (3.0,)) < 1e-6:
                 continue
             pts.append(PointRef(0, (theta,)))
         pts.extend(self.named_points()[k] for k in ("ab", "aa", "ba"))
@@ -379,9 +390,6 @@ class SolenoidAabAb(SpaceModel):
             ("b@0", lambda d: PointRef(0, (2.0 + d,))),
             ("b@1", lambda d: PointRef(0, (3.0 - d,))),
         ]
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind}
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +411,7 @@ class BrokenHeart(SpaceModel):
     form the unique branch class.
     """
 
-    kind: str = field(default="broken_heart", init=False)
+    kind: ClassVar[str] = "broken_heart"
 
     @property
     def charts(self) -> tuple[float | None, ...]:
@@ -470,9 +478,6 @@ class BrokenHeart(SpaceModel):
             ("lobe_right", lambda d: PointRef(2, (1.0 - d,))),
         ]
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind}
-
 
 # ---------------------------------------------------------------------------
 # Twisted sphere (quotient of the sphere by the half-turn off the equator)
@@ -496,8 +501,8 @@ class TwistedSphere(SpaceModel):
     representative pair at ``equator_theta``.
     """
 
+    kind: ClassVar[str] = "twisted_sphere"
     equator_theta: float = 0.3
-    kind: str = field(default="twisted_sphere", init=False)
 
     @property
     def charts(self) -> tuple[float | None, ...]:
@@ -606,9 +611,6 @@ class TwistedSphere(SpaceModel):
             )
         return pairs
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "equator_theta": self.equator_theta}
-
 
 # ---------------------------------------------------------------------------
 # Pinch model (k-sheeted circle cover with a finite split set)
@@ -626,10 +628,9 @@ class PinchCircle(SpaceModel):
     the trivial one.
     """
 
+    kind: ClassVar[str] = "pinch"
     split_points: tuple[float, ...]
     sheets: int
-
-    kind: str = field(default="pinch", init=False)
 
     def __post_init__(self) -> None:
         if self.sheets < 2:
@@ -696,13 +697,6 @@ class PinchCircle(SpaceModel):
             ("cw", lambda d: PointRef(0, ((a - d) % 1.0,))),
         ]
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "split_points": list(self.split_points),
-            "sheets": self.sheets,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Wedge of two models
@@ -719,12 +713,11 @@ class WedgeModel(SpaceModel):
     are exposed with ``left:``/``right:`` prefixes.
     """
 
+    kind: ClassVar[str] = "wedge"
     left: SpaceModel
     right: SpaceModel
     left_point: PointRef
     right_point: PointRef
-
-    kind: str = field(default="wedge", init=False)
 
     @property
     def offset(self) -> int:
@@ -806,15 +799,6 @@ class WedgeModel(SpaceModel):
             for a, b in self.right.branch_partner_pairs()
         )
         return pairs
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-            "left_point": {"chart": self.left_point.chart, "coord": list(self.left_point.coord)},
-            "right_point": {"chart": self.right_point.chart, "coord": list(self.right_point.coord)},
-        }
 
 
 def wedge(
@@ -980,10 +964,9 @@ class CoverModel(SpaceModel):
     on a sample grid.
     """
 
+    kind: ClassVar[str] = "cover"
     base: BaseSpace
     cover_charts: tuple[CoverChart, ...]
-
-    kind: str = field(default="cover", init=False)
 
     @property
     def charts(self) -> tuple[float | None, ...]:
@@ -1030,6 +1013,7 @@ class CoverModel(SpaceModel):
         return pts
 
     def to_dict(self) -> dict:
+        # The file form names the base and flattens each chart to its pieces.
         def piece_dict(p):
             if isinstance(p, VertexPiece):
                 return {"vertex": p.name}

@@ -125,7 +125,7 @@ def test_criterion_5_twisted_sphere_full_verification():
     rep = verify_projection(p, samples)
     floor = rep.fullness_floor
     seqs = approach_sequences(model, "equator", 16, 0.01)
-    continuity = max(d.defect for d in check_branch_continuity(p, seqs, tol=1e-6))
+    continuity = max(d.defect for d in check_branch_continuity(p, seqs))
 
     trace_defect = 0.0
     for x in samples:

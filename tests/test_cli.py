@@ -300,6 +300,24 @@ class TestVerifyCommand:
         path = write_json(tmp_path, "mismatch.json", payload)
         assert main(["verify", path]) == 2
 
+    @pytest.mark.parametrize(
+        "name, param",
+        [("twisted_sphere_projection", "perturb_frist_diag"), ("identity", "perturb_first_diag")],
+    )
+    def test_undeclared_builtin_param_exit_2(self, tmp_path, capsys, name, param):
+        # A builtin reads only the parameters it declares; any other is an
+        # error, not silently dropped.
+        payload = {
+            "model": {"kind": "twisted_sphere"},
+            "element": {"rule": "builtin", "name": name, "params": {param: 1e-3}},
+        }
+        path = write_json(tmp_path, "param.json", payload)
+        assert main(["verify", path, "--samples", "200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert repr(param) in captured.err
+
     def test_json_and_text_numeric_content_match(self, tmp_path, capsys):
         path = write_json(tmp_path, "p.json", PROJECTION_FILE)
         main(["verify", path, "--samples", "500", "--json"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fell_lab.conv import (
     ALGEBRA_TOL,
+    CONTINUITY_TOL,
     VERIFY_CHUNK,
     AlgebraElement,
     IncompatibilityError,
@@ -19,7 +20,6 @@ from fell_lab.conv import (
     RegionSectionError,
     add,
     adjoint,
-    builtin_element,
     check_branch_continuity,
     convolve,
     evaluate,
@@ -465,11 +465,10 @@ class TestBranchContinuity:
         model = TwistedSphere()
         p = twisted_sphere_projection(model)
         seqs = approach_sequences(model, "equator", 16, 0.01)
-        defects = check_branch_continuity(p, seqs, tol=1e-6)
+        defects = check_branch_continuity(p, seqs)
         assert len(defects) == 2
         for d in defects:
-            assert d.within_tol
-            assert d.defect <= 1e-6
+            assert d.defect <= CONTINUITY_TOL
 
     def test_limits_of_formula_entries(self):
         # As the distance shrinks, twice-covering diagonal entries go to 1,
@@ -508,9 +507,9 @@ class TestBranchContinuity:
             pt = model.named_point(name)
             vals[pt] = np.zeros((1, 1), dtype=complex)  # jump: limit is 1
         f = grid_element(model, list(vals.items()))
-        defects = check_branch_continuity(f, [seq], tol=1e-6)
+        defects = check_branch_continuity(f, [seq])
         assert defects[0].defect == pytest.approx(1.0)
-        assert not defects[0].within_tol
+        assert defects[0].defect > CONTINUITY_TOL
 
     def test_solenoid_projection_continuity(self):
         # The splice indicator jumps across the upper edge-a end: the lift

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import fell_lab.ktheory
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fell_lab.ktheory import (
@@ -156,6 +156,13 @@ class TestIntMatrix:
         with pytest.raises(ValueError, match="integers"):
             IntMatrix(1, 1, (value,))
 
+    @pytest.mark.parametrize("rows", [True, 1.0])
+    def test_inexact_dimension_rejected(self, rows):
+        with pytest.raises(ValueError, match="dimensions must be integers"):
+            IntMatrix(rows, 1, (2,))
+        with pytest.raises(ValueError, match="dimensions must be integers"):
+            IntMatrix(1, rows, (2,))
+
 
 class TestSmithNormalForm:
     """The library returns the invariant-factor diagonal; every property of
@@ -194,6 +201,10 @@ class TestSmithNormalForm:
             max_size=5,
         ).filter(lambda rows: len({len(r) for r in rows}) == 1)
     )
+    # Coprime diagonals: each needs the divisibility fix-up.
+    @example([[2, 0], [0, 3]])
+    @example([[4, 0], [0, 6]])
+    @example([[2, 0, 0], [0, 3, 0]])
     def test_postconditions_hypothesis(self, rows):
         assert_snf_postconditions(IntMatrix.from_rows(rows))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -470,6 +471,24 @@ class TestSerialization:
         model = aab_ab_figure_cover()
         rebuilt = model_from_dict(model.to_dict())
         assert rebuilt.to_dict() == model.to_dict()
+
+    @pytest.mark.parametrize(
+        "model", ALL_MODELS + [aab_ab_figure_cover()], ids=lambda m: m.kind
+    )
+    def test_kind_is_declared_on_the_class_not_a_field(self, model):
+        assert "kind" not in {f.name for f in dataclasses.fields(model)}
+        assert model.to_dict()["kind"] == type(model).kind
+
+    def test_writer_writes_every_constructor_field(self):
+        assert TwistedSphere(equator_theta=0.7).to_dict() == {
+            "kind": "twisted_sphere",
+            "equator_theta": 0.7,
+        }
+        assert PinchCircle(split_points=(0.5, 0.25), sheets=3).to_dict() == {
+            "kind": "pinch",
+            "split_points": [0.25, 0.5],
+            "sheets": 3,
+        }
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):

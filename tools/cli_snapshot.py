@@ -46,6 +46,23 @@ def input_files(where: Path) -> dict[str, str]:
                 "params": {"perturb_first_diag": 1e-6},
             },
         },
+        # A builtin parameter its constructor does not declare.
+        "sphere-misspelled-param": {
+            "model": {"kind": "twisted_sphere"},
+            "element": {
+                "rule": "builtin",
+                "name": "twisted_sphere_projection",
+                "params": {"perturb_frist_diag": 1e-3},
+            },
+        },
+        "identity-param": {
+            "model": {"kind": "twisted_sphere"},
+            "element": {
+                "rule": "builtin",
+                "name": "identity",
+                "params": {"perturb_first_diag": 1e-3},
+            },
+        },
         "aab-ab-indicator": {
             "model": {"kind": "solenoid_aab_ab"},
             "element": {
@@ -96,6 +113,8 @@ def cases(files: dict[str, str]) -> list[tuple[str, list[str]]]:
                 ["verify", files["sphere-perturbed"], "--samples", "2000", "--json"]))
     out.append(("verify-sphere-perturbed-text",
                 ["verify", files["sphere-perturbed"], "--samples", "2000"]))
+    for name in ("sphere-misspelled-param", "identity-param"):
+        out.append((f"verify-{name}-json", ["verify", files[name], "--samples", "2000", "--json"]))
     out.append(("verify-aab-ab-indicator-json", ["verify", files["aab-ab-indicator"], "--json"]))
     out.append(("verify-wedge-grid-json", ["verify", files["wedge-grid"], "--json"]))
     out.append(("verify-wedge-grid-perturbed-json",
