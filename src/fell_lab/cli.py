@@ -79,7 +79,7 @@ def cmd_ktheory_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        data = _load_json(args.file)
+        data = spaces.json_keys(_load_json(args.file), ("model", "element"), "a verify file")
         model = spaces.model_from_dict(data["model"])
         element = conv.element_from_dict(model, data["element"])
         spaces.sample_count(args.samples)  # checked even where a grid ignores it
@@ -102,8 +102,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passes(tol) else CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line, like every other exit 2."""
+
+    def error(self, message: str) -> None:
+        print(f"error: {' '.join(message.split())}", file=sys.stderr)
+        sys.exit(USAGE_ERROR)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fell-lab",
         description=(
             "Groupoid models of local homeomorphisms: projection verification "

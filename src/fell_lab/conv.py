@@ -32,7 +32,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -138,23 +138,6 @@ class Region:
                 return True
         return False
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Region":
-        pieces = []
-        for pd in spaces.json_object(d, "a region").get("pieces", ()):
-            box = tuple(
-                Interval(
-                    lo=spaces.finite_float(b["lo"], "lo"),
-                    hi=spaces.finite_float(b["hi"], "hi"),
-                    lo_closed=spaces.json_bool(b.get("lo_closed", True), "lo_closed"),
-                    hi_closed=spaces.json_bool(b.get("hi_closed", True), "hi_closed"),
-                )
-                for b in pd["box"]
-            )
-            chart = spaces.exact_int(pd["chart"], "chart")
-            pieces.append(RegionPiece(chart=chart, box=box))
-        return cls(pieces=tuple(pieces))
-
 
 @dataclass(frozen=True)
 class ScalarRule:
@@ -254,15 +237,36 @@ BUILTINS: dict[str, Callable[..., AlgebraElement]] = {
     "twisted_sphere_projection": twisted_sphere_projection,
 }
 
+# The keys of an element object, per rule; ``params`` may be left out.
+ELEMENT_KEYS = {
+    "builtin": ("rule", "name", "params"),
+    "indicator": ("rule", "region"),
+    "grid": ("rule", "points"),
+}
+
+
+class GridPoint(NamedTuple):
+    """One stored value of a ``grid`` element: a point plus its fiber matrix,
+    each complex entry an ``[re, im]`` pair in the file."""
+
+    chart: int
+    coord: tuple[float, ...]
+    matrix: tuple[tuple[complex, ...], ...]
+
 
 def element_from_dict(model: SpaceModel, d: dict) -> AlgebraElement:
     """Read the element of a ``verify`` file over its model.
 
-    A ``builtin`` accepts only the parameters its constructor declares; any
-    other name raises ``ParameterError`` rather than being dropped.
+    The object may hold only its rule's keys (``ELEMENT_KEYS``), and a
+    ``region`` and grid points are read by ``spaces.read_json``; any other
+    key raises ``ParameterError``.  A ``builtin`` accepts only the
+    parameters its constructor declares.
     """
     d = spaces.json_object(d, "an element")
     rule = d.get("rule")
+    if not isinstance(rule, str) or rule not in ELEMENT_KEYS:
+        raise ValueError(f"unknown element rule {rule!r}")
+    d = spaces.json_keys(d, ELEMENT_KEYS[rule], f"a {rule} element", optional=("params",))
     if rule == "builtin":
         name = d["name"]
         if not isinstance(name, str) or name not in BUILTINS:
@@ -278,17 +282,11 @@ def element_from_dict(model: SpaceModel, d: dict) -> AlgebraElement:
         kwargs = {k: spaces.finite_float(v, f"param {k!r}") for k, v in params.items()}
         return BUILTINS[name](model, **kwargs)
     if rule == "indicator":
-        return indicator_projection(model, Region.from_dict(d["region"]))
-    if rule == "grid":
-        def part(v: object) -> float:
-            return spaces.finite_float(v, "a grid matrix [re, im] value")
-
-        values = []
-        for pd in d["points"]:
-            mat = np.array([[complex(part(re), part(im)) for re, im in row] for row in pd["matrix"]])
-            values.append((spaces.point_from_dict(pd), mat))
-        return grid_element(model, values)
-    raise ValueError(f"unknown element rule {rule!r}")
+        return indicator_projection(model, spaces.read_json(Region, d["region"], "a region"))
+    # One point at a time, so that the file's values do not all stay alive at once.
+    points = spaces.json_array(d["points"], "points")
+    values = (spaces.read_json(GridPoint, p, "points[]") for p in points)
+    return grid_element(model, ((PointRef(p.chart, p.coord), p.matrix) for p in values))
 
 
 def grid_element(
@@ -388,12 +386,7 @@ def _entries_at(f: AlgebraElement, orbit: Orbit) -> np.ndarray:
     if isinstance(rule, ProductRule):
         return _entries_at(rule.left, orbit) @ _entries_at(rule.right, orbit)
     if isinstance(rule, RestrictRule):
-        wedge_model = rule.inner.model
-        assert isinstance(wedge_model, WedgeModel)
-        rep = orbit.members[0]
-        if rule.side == "right":
-            rep = PointRef(rep.chart + wedge_model.offset, rep.coord)
-        big = evaluate(rule.inner, rep)
+        big = evaluate(rule.inner, rule.inner.model.from_factor(rule.side, orbit.members[0]))
         if big.size != orbit.size:
             raise IncompatibilityError("restricted fiber size mismatch")
         return big.entries
@@ -660,45 +653,16 @@ def _classify_members(
 # ---------------------------------------------------------------------------
 
 
-def restrict(f: AlgebraElement, part) -> AlgebraElement:
-    """Restriction homomorphism onto a closed groupoid-invariant part.
+def restrict(f: AlgebraElement, side: str) -> AlgebraElement:
+    """Restriction homomorphism onto one factor of a wedge, ``"left"`` or ``"right"``.
 
-    For a wedge model, either factor is closed and invariant (fibers never
-    cross the glue point), and the restriction is evaluation over the factor:
-    it is multiplicative and adjoint-preserving fiberwise by construction.
-    ``part`` may be "left"/"right" or the factor model itself.  Any other
-    target is checked for invariance on samples and rejected.
+    Either factor is closed and invariant (fibers never cross the glue
+    point), and the restriction is evaluation over the factor: it is
+    multiplicative and adjoint-preserving fiberwise by construction.  Any
+    other model or side raises ``InvarianceError``.
     """
-    model = f.model
-    if isinstance(model, WedgeModel):
-        side = None
-        if part == "left" or part == model.left:
-            side = "left"
-        elif part == "right" or part == model.right:
-            side = "right"
-        elif isinstance(part, (set, frozenset, tuple, list)):
-            ids = set(part)
-            if ids == set(range(model.offset)):
-                side = "left"
-            elif ids == set(range(model.offset, len(model.charts))):
-                side = "right"
-        if side is not None:
-            sub = model.left if side == "left" else model.right
-            return AlgebraElement(sub, RestrictRule(f, side))
-    if isinstance(part, (set, frozenset, tuple, list)):
-        chart_ids = set(part)
-        all_ids = set(range(len(model.charts)))
-        if chart_ids == all_ids:
-            return f
-        for y in spaces.sample_base_points(model, 200, seed=23):
-            orbit = resolve_orbit(model, y)
-            inside = [m.chart in chart_ids for m in orbit.members]
-            if any(inside) and not all(inside):
-                raise InvarianceError(
-                    f"fiber over {orbit.base_label!r} crosses the chart subset"
-                )
-        raise InvarianceError(
-            "chart subset is invariant on samples but is not a wedge factor; "
-            "only factor restrictions are supported"
-        )
-    raise InvarianceError(f"cannot restrict to {part!r}")
+    if not isinstance(f.model, WedgeModel):
+        raise InvarianceError(f"only a wedge restricts, not a {type(f.model).__name__}")
+    if side not in ("left", "right"):
+        raise InvarianceError(f"a wedge restricts to 'left' or 'right', not {side!r}")
+    return AlgebraElement(getattr(f.model, side), RestrictRule(f, side))

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .spaces import ParameterError  # re-exported: one class for both layers
-from .spaces import exact_int, json_object
+from .spaces import read_json
 
 
 class UnsupportedInputError(ValueError):
@@ -284,15 +284,17 @@ class TwoStrataSES:
 
     ``delta0`` maps K0 of the quotient to K1 of the ideal (matrix shape
     rank(K1_I) x rank(K0_Q)); ``delta1`` maps K1 of the quotient to K0 of
-    the ideal (shape rank(K0_I) x rank(K1_Q)).
+    the ideal (shape rank(K0_I) x rank(K1_Q)).  A map may be left out only
+    when its shape is empty, which forces its one value; any other omitted
+    map raises ``ParameterError``.
     """
 
     K0_I: FgAbGroup
     K1_I: FgAbGroup
     K0_Q: FgAbGroup
     K1_Q: FgAbGroup
-    delta0: IntMatrix
-    delta1: IntMatrix
+    delta0: IntMatrix | None = None
+    delta1: IntMatrix | None = None
 
     def __post_init__(self) -> None:
         for g in (self.K0_I, self.K1_I, self.K0_Q, self.K1_Q):
@@ -300,10 +302,16 @@ class TwoStrataSES:
                 raise UnsupportedInputError(
                     "six-term input groups must be torsion-free"
                 )
-        if self.delta0.rows != self.K1_I.rank or self.delta0.cols != self.K0_Q.rank:
-            raise ValueError("delta0 shape does not match group ranks")
-        if self.delta1.rows != self.K0_I.rank or self.delta1.cols != self.K1_Q.rank:
-            raise ValueError("delta1 shape does not match group ranks")
+        for name, rows, cols in (("delta0", self.K1_I.rank, self.K0_Q.rank),
+                                 ("delta1", self.K0_I.rank, self.K1_Q.rank)):
+            if getattr(self, name) is None:
+                if rows and cols:
+                    raise ParameterError(f"{name} may be left out only when its shape is "
+                                         f"empty, not {rows} x {cols}")
+                object.__setattr__(self, name, IntMatrix.zero(rows, cols))
+            delta = getattr(self, name)
+            if (delta.rows, delta.cols) != (rows, cols):
+                raise ValueError(f"{name} shape does not match group ranks")
 
 
 def solve_six_term(s: TwoStrataSES) -> tuple[FgAbGroup, FgAbGroup]:
@@ -461,41 +469,15 @@ def pinch_strata_oracle(m: int, k: int) -> tuple[FgAbGroup, FgAbGroup]:
 # ---------------------------------------------------------------------------
 
 
-def group_from_dict(d: dict) -> FgAbGroup:
-    d = json_object(d, "a group")
-    return FgAbGroup(
-        rank=exact_int(d.get("rank", 0), "rank"),
-        torsion=tuple(exact_int(t, "torsion value") for t in d.get("torsion", ())),
-    )
-
-
-def matrix_from_dict(d: dict) -> IntMatrix:
-    d = json_object(d, "a matrix")
-    return IntMatrix(
-        exact_int(d["rows"], "rows"),
-        exact_int(d["cols"], "cols"),
-        tuple(exact_int(e, "matrix entry") for e in d["entries"]),
-    )
-
-
 def ses_from_dict(d: dict) -> TwoStrataSES:
     """Parse a two-strata system from its file representation.
 
-    Groups are given as ``{"rank": n}`` (optionally with ``"torsion"``, which
-    the solver rejects); matrices as ``{"rows", "cols", "entries"}`` with
-    row-major entries.  ``delta1`` may be omitted when K1_Q or K0_I is trivial.
+    The object holds the fields of ``TwoStrataSES``, read by ``read_json``:
+    groups as ``{"rank": n}`` (optionally with ``"torsion"``, which the
+    solver rejects) and matrices as ``{"rows", "cols", "entries"}`` with
+    row-major entries.  Any other key raises ``ParameterError``.
     """
-    k0_i = group_from_dict(d["K0_I"])
-    k1_i = group_from_dict(d["K1_I"])
-    k0_q = group_from_dict(d["K0_Q"])
-    k1_q = group_from_dict(d["K1_Q"])
-    delta0 = matrix_from_dict(d["delta0"]) if "delta0" in d else IntMatrix.zero(
-        k1_i.rank, k0_q.rank
-    )
-    delta1 = matrix_from_dict(d["delta1"]) if "delta1" in d else IntMatrix.zero(
-        k0_i.rank, k1_q.rank
-    )
-    return TwoStrataSES(k0_i, k1_i, k0_q, k1_q, delta0, delta1)
+    return read_json(TwoStrataSES, d, "a six-term system")
 
 
 def ses_to_dict(s: TwoStrataSES) -> dict:

@@ -48,8 +48,7 @@ from .spaces import (
     SolenoidAabAb,
     TwistedSphere,
     approach_sequences,
-    exact_int,
-    finite_float,
+    read_json,
     sample_base_points,
     wedge,
 )
@@ -302,9 +301,6 @@ _SCENARIOS = {
 
 SCENARIO_NAMES = tuple(_SCENARIOS)
 
-_READERS = {int: exact_int, float: finite_float}
-
-
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Execute a named scenario pipeline and compare against stored values.
 
@@ -325,7 +321,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
                 f"it reads {', '.join(scenario.parameters)}"
             )
     p = {
-        key: _READERS[type(default)](spec.parameters.get(key, default), f"parameter {key!r}")
+        key: read_json(type(default), spec.parameters.get(key, default), f"parameter {key!r}")
         for key, default in scenario.parameters.items()
     }
     checks, flags = scenario.run(p)

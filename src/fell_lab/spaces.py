@@ -32,10 +32,13 @@ information, so they expose branch classes but no approach sequences.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import random
-from dataclasses import dataclass, field, fields
-from typing import Callable, ClassVar, NamedTuple
+import types
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import Callable, ClassVar, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 TOL = 1e-9
 _QSCALE = 1e9
@@ -91,10 +94,96 @@ def finite_float(value: object, what: str) -> float:
     return float(value)
 
 
+def json_str(value: object, what: str) -> str:
+    if type(value) is not str:
+        raise ParameterError(f"{what} must be a JSON string, got {value!r}")
+    return value
+
+
+def json_complex(value: object, what: str) -> complex:
+    """A complex number: a JSON array ``[re, im]`` of two finite numbers."""
+    if type(value) is not list or len(value) != 2:
+        raise ParameterError(f"{what} must be a JSON array [re, im], got {value!r}")
+    return complex(finite_float(value[0], what), finite_float(value[1], what))
+
+
 def json_object(value: object, what: str) -> dict:
     if not isinstance(value, dict):
         raise ParameterError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
+
+
+def json_array(value: object, what: str) -> list:
+    if type(value) is not list:
+        raise ParameterError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def json_keys(value: object, keys: tuple[str, ...], what: str, optional: tuple = ()) -> dict:
+    """A JSON object with no key outside ``keys``, and every key not ``optional``."""
+    d = json_object(value, what)
+    for key in d:
+        if key not in keys:
+            raise ParameterError(f"{what} has no key {key!r}; it reads {', '.join(keys)}")
+    for key in keys:
+        if key not in d and key not in optional:
+            raise ParameterError(f"{what} is missing the key {key!r}")
+    return d
+
+
+def read_json(tp: object, value: object, what: str) -> object:
+    """Read a JSON value as the type ``tp`` declares, coercing nothing.
+
+    Scalars go through the readers above, ``tuple[X, ...]`` is an array of
+    X, ``X | None`` reads X, and a ``SpaceModel`` is read by its ``kind``.
+    A dataclass or NamedTuple is an object keyed by its constructor's
+    fields, a field with a default may be left out, and any other key is an
+    error that names it.  ``what`` names the value in messages.
+    """
+    return _reader(tp, what)(value)
+
+
+_SCALARS = {int: exact_int, float: finite_float, bool: json_bool, str: json_str,
+            complex: json_complex}
+
+
+@functools.cache
+def _reader(tp: object, what: str) -> Callable[[object], object]:
+    """The reader of one type under one name: a field's or a caller's fixed name."""
+    if tp in _SCALARS:
+        scalar = _SCALARS[tp]
+        return lambda value: scalar(value, what)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        item_what = f"{what}[]"
+        scalar = _SCALARS.get(args[0])
+        item = None if scalar else _reader(args[0], item_what)
+
+        def read_array(value: object) -> tuple:
+            if scalar:  # the common case, without a call per item
+                return tuple([scalar(x, item_what) for x in json_array(value, what)])
+            return tuple([item(x) for x in json_array(value, what)])
+
+        return read_array
+    if origin in (Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        return _reader(args[0] if args[1] is type(None) else args[1], what)
+    if tp is SpaceModel:  # looked up per call, so that a rebound model_from_dict is used
+        return lambda value: model_from_dict(value)
+    if not (is_dataclass(tp) or hasattr(tp, "_fields")):  # a dataclass or a NamedTuple
+        raise TypeError(f"no JSON reader for {tp!r}")
+    params = inspect.signature(tp).parameters
+    names = tuple(params)
+    optional = tuple(name for name, p in params.items() if p.default is not p.empty)
+    hints = get_type_hints(tp)
+    readers = {name: _reader(hints[name], name) for name in names}
+    # A model's object also names its kind, which selected the class.
+    keys = ("kind",) + names if issubclass(tp, SpaceModel) else names
+
+    def read_record(value: object):
+        d = json_keys(value, keys, what, optional)
+        return tp(**{k: readers[k](v) for k, v in d.items() if k in readers})
+
+    return read_record
 
 
 class PointRef(NamedTuple):
@@ -705,7 +794,11 @@ class PinchCircle(SpaceModel):
 
 @dataclass(frozen=True)
 class WedgeModel(SpaceModel):
-    """Two models glued at one point each; built via ``wedge``.
+    """Two models glued at one point each.
+
+    Construction checks that both glue points have singleton fibers and lie
+    outside every branch class, the condition under which the glued
+    projection stays a local homeomorphism, and stores them normalized.
 
     The right factor's charts are shifted past the left factor's.  The glued
     point is canonically represented by the left factor's wedge point; its
@@ -719,7 +812,20 @@ class WedgeModel(SpaceModel):
     left_point: PointRef
     right_point: PointRef
 
-    @property
+    def __post_init__(self) -> None:
+        for name, factor in (("left_point", self.left), ("right_point", self.right)):
+            y = factor.normalize(getattr(self, name))
+            size = resolve_orbit(factor, y).size
+            if size != 1:
+                raise InvalidWedgeError(f"wedge point {y!r} has fiber of size {size}, need 1")
+            branch_keys = {
+                qkey(factor.named_point(m)) for c in factor.branch_classes for m in c.members
+            }
+            if qkey(y) in branch_keys:
+                raise InvalidWedgeError(f"wedge point {y!r} lies in a branch class")
+            object.__setattr__(self, name, y)
+
+    @functools.cached_property  # read on every shift of a right-factor point
     def offset(self) -> int:
         return len(self.left.charts)
 
@@ -745,6 +851,10 @@ class WedgeModel(SpaceModel):
 
     def _unshift(self, y: PointRef) -> PointRef:
         return PointRef(y.chart - self.offset, y.coord)
+
+    def from_factor(self, side: str, y: PointRef) -> PointRef:
+        """The wedge's point for the point y of its ``side`` factor ("left" or "right")."""
+        return self._shift(y) if side == "right" else y
 
     def named_points(self) -> dict[str, PointRef]:
         out = {"wedge_point": self.left_point}
@@ -801,32 +911,8 @@ class WedgeModel(SpaceModel):
         return pairs
 
 
-def wedge(
-    left: SpaceModel, right: SpaceModel, y_left: PointRef, y_right: PointRef
-) -> WedgeModel:
-    """Glue two models at one point each.
-
-    Both wedge points must have singleton fibers and lie outside every
-    branch class; that is exactly the condition under which the glued
-    projection stays a local homeomorphism.
-    """
-    glue = []
-    for factor, y in ((left, y_left), (right, y_right)):
-        y = factor.normalize(y)
-        orbit = resolve_orbit(factor, y)
-        if orbit.size != 1:
-            raise InvalidWedgeError(
-                f"wedge point {y!r} has fiber of size {orbit.size}, need 1"
-            )
-        branch_keys = {
-            qkey(factor.named_point(m))
-            for c in factor.branch_classes
-            for m in c.members
-        }
-        if qkey(y) in branch_keys:
-            raise InvalidWedgeError(f"wedge point {y!r} lies in a branch class")
-        glue.append(y)
-    return WedgeModel(left=left, right=right, left_point=glue[0], right_point=glue[1])
+# Gluing is construction: ``wedge(left, right, left_point, right_point)``.
+wedge = WedgeModel
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +949,7 @@ class Span:
 class VertexPiece:
     """A single named base vertex inside a cover chart."""
 
-    name: str
+    vertex: str
 
 
 @dataclass(frozen=True)
@@ -891,7 +977,7 @@ class CoverChart:
         offsets = self._offsets()
         for piece, off in zip(self.pieces, offsets):
             if isinstance(piece, VertexPiece):
-                if point == (piece.name,):
+                if point == (piece.vertex,):
                     return off
             else:
                 if len(point) == 2 and point[0] == piece.stratum and piece.contains(point[1]):
@@ -905,7 +991,7 @@ class CoverChart:
         for piece, off in zip(self.pieces, offsets):
             if isinstance(piece, VertexPiece):
                 if abs(s - off) <= TOL:
-                    return (piece.name,)
+                    return (piece.vertex,)
             else:
                 if off - TOL <= s <= off + piece.length + TOL:
                     local = min(max(s - off, 0.0), piece.length)
@@ -1013,26 +1099,11 @@ class CoverModel(SpaceModel):
         return pts
 
     def to_dict(self) -> dict:
-        # The file form names the base and flattens each chart to its pieces.
-        def piece_dict(p):
-            if isinstance(p, VertexPiece):
-                return {"vertex": p.name}
-            return {
-                "stratum": p.stratum,
-                "lo": p.lo,
-                "hi": p.hi,
-                "lo_closed": p.lo_closed,
-                "hi_closed": p.hi_closed,
-                "reverse": p.reverse,
-            }
-
+        # The file form names the base and writes each chart as its pieces.
         return {
             "kind": self.kind,
             "base": self.base.name,
-            "charts": [
-                {"pieces": [piece_dict(p) for p in cc.pieces]}
-                for cc in self.cover_charts
-            ],
+            "charts": [{"pieces": [asdict(p) for p in cc.pieces]} for cc in self.cover_charts],
         }
 
 
@@ -1084,55 +1155,31 @@ def aab_ab_figure_cover() -> CoverModel:
 # ---------------------------------------------------------------------------
 
 
-def point_from_dict(d: dict) -> PointRef:
-    d = json_object(d, "a point")
-    return PointRef(
-        exact_int(d["chart"], "chart"), tuple(finite_float(c, "coordinate") for c in d["coord"])
-    )
+_MODEL_CLASSES = {
+    cls.kind: cls for cls in (SolenoidAabAb, BrokenHeart, TwistedSphere, PinchCircle, WedgeModel)
+}
 
 
 def model_from_dict(d: dict) -> SpaceModel:
-    """Build a model from its constructor-name/parameters description."""
+    """Build a model from the form its ``to_dict`` writes.
+
+    ``kind`` selects the class, whose constructor fields ``read_json`` reads.
+    A cover's form is its base's name and, per chart, its ``Span`` and
+    ``VertexPiece`` pieces.
+    """
     d = json_object(d, "a model")
     kind = d.get("kind")
-    if kind == "solenoid_aab_ab":
-        return SolenoidAabAb()
-    if kind == "broken_heart":
-        return BrokenHeart()
-    if kind == "twisted_sphere":
-        return TwistedSphere(
-            equator_theta=finite_float(d.get("equator_theta", 0.3), "equator_theta")
-        )
-    if kind == "pinch":
-        return PinchCircle(
-            split_points=tuple(finite_float(x, "split point") for x in d["split_points"]),
-            sheets=exact_int(d["sheets"], "sheets"),
-        )
-    if kind == "wedge":
-        return wedge(
-            model_from_dict(d["left"]),
-            model_from_dict(d["right"]),
-            point_from_dict(d["left_point"]),
-            point_from_dict(d["right_point"]),
-        )
     if kind == "cover":
+        d = json_keys(d, ("kind", "base", "charts"), "a cover model")
         charts = []
-        for cd in d["charts"]:
-            pieces: list[Span | VertexPiece] = []
-            for pd in cd["pieces"]:
-                if "vertex" in pd:
-                    pieces.append(VertexPiece(pd["vertex"]))
-                else:
-                    pieces.append(
-                        Span(
-                            stratum=pd["stratum"],
-                            lo=finite_float(pd["lo"], "lo"),
-                            hi=finite_float(pd["hi"], "hi"),
-                            lo_closed=json_bool(pd.get("lo_closed", False), "lo_closed"),
-                            hi_closed=json_bool(pd.get("hi_closed", False), "hi_closed"),
-                            reverse=json_bool(pd.get("reverse", False), "reverse"),
-                        )
-                    )
-            charts.append(CoverChart(pieces=tuple(pieces)))
-        return build_cover_groupoid(d["base"], charts)
-    raise ParameterError(f"unknown model kind {kind!r}")
+        for c in json_array(d["charts"], "charts"):
+            pieces = []
+            for p in json_array(json_keys(c, ("pieces",), "a cover chart")["pieces"], "pieces"):
+                tp = VertexPiece if isinstance(p, dict) and "vertex" in p else Span
+                pieces.append(read_json(tp, p, "a cover piece"))
+            charts.append(CoverChart(tuple(pieces)))
+        return build_cover_groupoid(json_str(d["base"], "base"), charts)
+    cls = _MODEL_CLASSES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParameterError(f"unknown model kind {kind!r}")
+    return read_json(cls, d, f"a {kind} model")

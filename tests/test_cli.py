@@ -398,6 +398,11 @@ class TestVerifyCommand:
         ("verify", interval_cover_file({"lo_closed": True, "hi_closed": True, "reverse": 0})),
         ("verify", aab_ab_indicator_file({"lo": 1.0, "hi": 1.5, "hi_closed": "false"})),
         ("verify", aab_ab_indicator_file({"lo": 1.0, "hi": 1.5, "lo_closed": None})),
+        # Usage errors that argparse catches: one line too, no usage block.
+        ("verify --tol abc", PROJECTION_FILE),
+        ("verify --tol -1e+16", PROJECTION_FILE),  # taken for an option
+        ("verify", None),  # no file
+        ("verify", {"model": {"kind": "cover", "base": [], "charts": []}, "element": IDENTITY}),
     ],
 )
 def test_non_object_json_exit_2(tmp_path, capsys, command, payload):
@@ -409,13 +414,48 @@ def test_non_object_json_exit_2(tmp_path, capsys, command, payload):
         argv = ["example", name] + [arg for p in params for arg in ("--param", p)]
     else:
         head, *options = command.split()
-        path = write_json(tmp_path, "shape.json", payload)
-        argv = (["ktheory", "solve", path] if head == "ktheory" else ["verify", path]) + options
+        files = [] if payload is None else [write_json(tmp_path, "shape.json", payload)]
+        argv = (["ktheory", "solve"] if head == "ktheory" else ["verify"]) + files + options
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("ktheory", {**SPLICE_SES_FILE, "delta_0": SPLICE_SES_FILE["delta0"]}, "delta_0"),
+        ("ktheory", {**SPLICE_SES_FILE, "K0_Q": {"rank": 3, "torsoin": [2]}}, "torsoin"),
+        ("verify", {**PROJECTION_FILE, "model": {"kind": "twisted_sphere", "equator_thta": 0.9}},
+         "equator_thta"),
+        ("verify", aab_ab_indicator_file({"lo": 1.0, "hi": 2.0, "hi_closd": False}), "hi_closd"),
+        ("verify", {**PROJECTION_FILE, "element": {**IDENTITY, "parms": {}}}, "parms"),
+        ("verify", {**PROJECTION_FILE, "elements": IDENTITY}, "elements"),
+    ],
+)
+def test_undeclared_key_exit_2(tmp_path, capsys, command, payload, key):
+    """Every object in an input file is read against the keys of the type it
+    builds; a key outside them is named, never dropped."""
+    path = write_json(tmp_path, "keys.json", payload)
+    argv = ["ktheory", "solve", path] if command == "ktheory" else ["verify", path, "--samples=50"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"no key {key!r}" in captured.err
+
+
+def test_omitted_nonempty_delta_exit_2(tmp_path, capsys):
+    payload = {k: v for k, v in SPLICE_SES_FILE.items() if k != "delta0"}
+    assert main(["ktheory", "solve", write_json(tmp_path, "ses.json", payload)]) == 2
+    assert "delta0 may be left out only" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["verify", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
 
 
 class TestConsoleEntry:

@@ -5,7 +5,8 @@ ends in exit 0, 1 or 2 with no exception escaping ``cli.main``; exit 2 prints
 nothing on stdout and exactly one ``error:`` line on stderr, and exits 0 and
 1 print nothing on stderr.  Inputs are valid files with one or two nodes
 replaced, removed or added.  Numbers stay small, so that no mutation can ask
-for a huge sample set, fiber or matrix.
+for a huge sample set, fiber or matrix.  A key that no object declares, added
+to any object of a file at any depth, always exits 2.
 """
 
 import contextlib
@@ -116,6 +117,29 @@ def mutated(draw, tree):
     return draw(JSON)
 
 
+# Keys that no object of either file format declares.
+UNDECLARED = st.sampled_from(
+    ["delta_0", "torsoin", "equator_thta", "hi_closd", "parms", "cord"]
+) | TEXT.map(lambda t: "x" + t)
+
+
+@st.composite
+def with_undeclared_key(draw, tree):
+    """A copy of ``tree`` with an undeclared key added to one of its objects,
+    the top level or one nested at any depth."""
+    tree = json.loads(json.dumps(tree))
+    objects, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            objects.append(node)
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    draw(st.sampled_from(objects))[draw(UNDECLARED)] = draw(JSON)
+    return tree
+
+
 @st.composite
 def mutants(draw, trees):
     tree = draw(st.sampled_from(trees))
@@ -152,6 +176,19 @@ def file_argv(tmp_path, command, data):
 def test_verify_files(tmp_path, data, samples, as_json, tol):
     argv = file_argv(tmp_path, ["verify"], data) + [f"--samples={samples}", f"--tol={tol!r}"]
     assert_contract(*run(argv + ["--json"] * as_json))
+
+
+@FUZZ
+@given(command_and_file=st.sampled_from(
+           [(["verify"], {"model": WEDGE, "element": e}) for e in ELEMENTS]
+           + [(["ktheory", "solve"], f) for f in KTHEORY_FILES]),
+       data=st.data())
+def test_undeclared_key_at_any_depth_exit_2(tmp_path, command_and_file, data):
+    command, tree = command_and_file
+    rc, out, err = run(file_argv(tmp_path, command, data.draw(with_undeclared_key(tree))))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @FUZZ

@@ -22,6 +22,7 @@ from fell_lab.conv import (
     adjoint,
     check_branch_continuity,
     convolve,
+    element_from_dict,
     evaluate,
     extrapolate_limit,
     grid_element,
@@ -37,6 +38,7 @@ from fell_lab.conv import (
 )
 from fell_lab.spaces import (
     BrokenHeart,
+    ParameterError,
     CoverChart,
     PinchCircle,
     PointRef,
@@ -535,16 +537,21 @@ class TestRestrict:
             assert evaluate(rho, x).max_abs() == 0.0
 
     def test_factor_model_argument(self):
+        # A side is named, never given as the factor model.
         model = standard_wedge()
         ind = indicator_projection(model, A_CIRCLE_REGION)
-        rho = restrict(ind, model.right)
-        assert rho.model == model.right
+        assert restrict(ind, "right").model == model.right
+        assert restrict(ind, "left").model == model.left
+        with pytest.raises(InvarianceError):
+            restrict(ind, model.right)
 
     def test_factor_chart_set_argument(self):
+        # Nor as the set of its chart ids.
         model = standard_wedge()
         ind = indicator_projection(model, A_CIRCLE_REGION)
-        assert restrict(ind, {1, 2, 3}).model == model.right
-        assert restrict(ind, {0}).model == model.left
+        for charts in ({1, 2, 3}, {0}, (0,)):
+            with pytest.raises(InvarianceError):
+                restrict(ind, charts)
 
     def test_restriction_is_multiplicative(self):
         model = standard_wedge()
@@ -611,6 +618,56 @@ class TestRestrict:
             restrict(p, {0})
         with pytest.raises(InvarianceError):
             restrict(p, "left")
+
+
+A_CIRCLE_BOX = {"lo": 1.0, "hi": 2.0, "hi_closed": False}
+
+
+class TestElementFromDict:
+    @pytest.mark.parametrize(
+        "d, key",
+        [
+            ({"rule": "builtin", "name": "identity", "parms": {}}, "parms"),
+            ({"rule": "builtin", "name": "identity", "region": {}}, "region"),
+            ({"rule": "indicator", "region": {"pieces": []}, "params": {}}, "params"),
+            ({"rule": "indicator", "region": {"pieces": [], "piece": []}}, "piece"),
+            (
+                {"rule": "indicator",
+                 "region": {"pieces": [{"chart": 0, "box": [{"lo": 1.0, "hi_closd": True}]}]}},
+                "hi_closd",
+            ),
+            (
+                {"rule": "indicator",
+                 "region": {"pieces": [{"chart": 0, "box": [A_CIRCLE_BOX], "chrt": 0}]}},
+                "chrt",
+            ),
+            ({"rule": "grid", "points": [], "name": "identity"}, "name"),
+            (
+                {"rule": "grid",
+                 "points": [{"chart": 0, "coord": [2.5], "matrix": [[[1.0, 0.0]]], "weight": 1}]},
+                "weight",
+            ),
+        ],
+    )
+    def test_keys_outside_the_rule_are_named(self, d, key):
+        with pytest.raises(ParameterError, match=f"no key {key!r}; it reads "):
+            element_from_dict(SolenoidAabAb(), d)
+
+    def test_region_and_grid_read_as_declared(self):
+        d = {"rule": "indicator", "region": {"pieces": [{"chart": 0, "box": [A_CIRCLE_BOX]}]}}
+        assert element_from_dict(SolenoidAabAb(), d).rule.region == A_CIRCLE_REGION
+        d = {"rule": "grid", "points": [{"chart": 0, "coord": [2.5], "matrix": [[[0.5, -1]]]}]}
+        rule = element_from_dict(SolenoidAabAb(), d).rule
+        assert rule.points == (PointRef(0, (2.5,)),)
+        assert rule.lookup(resolve_orbit(SolenoidAabAb(), PointRef(0, (2.5,))).base_label) == [
+            [0.5 - 1j]
+        ]
+
+    @pytest.mark.parametrize("matrix", [[[[1.0]]], [[[1.0, 0.0, 0.0]]], [[1.0]], [[[1.0, True]]]])
+    def test_grid_entry_is_an_re_im_pair(self, matrix):
+        d = {"rule": "grid", "points": [{"chart": 0, "coord": [2.5], "matrix": matrix}]}
+        with pytest.raises(ParameterError):
+            element_from_dict(SolenoidAabAb(), d)
 
 
 ALL_MODELS = [

@@ -488,6 +488,40 @@ class TestSerialization:
         del d["delta1"]
         assert ses_from_dict(d) == SPLICE_SES
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda d: d.update(delta_0=d.pop("delta0")), "delta_0"),
+            (lambda d: d.update(K0_Q={"rank": 3, "torsoin": [2]}), "torsoin"),
+            (lambda d: d["delta1"].update(shape=[0, 0]), "shape"),
+        ],
+        ids=["delta_0", "torsoin", "shape"],
+    )
+    def test_undeclared_key_is_named(self, edit, key):
+        d = ses_to_dict(SPLICE_SES)
+        edit(d)
+        with pytest.raises(ParameterError, match=f"no key {key!r}; it reads "):
+            ses_from_dict(d)
+
+    def test_nonempty_delta_may_not_be_left_out(self):
+        # delta0 is 2 x 3 here: leaving it out is not the zero map.
+        d = ses_to_dict(SPLICE_SES)
+        del d["delta0"]
+        with pytest.raises(ParameterError, match="delta0 may be left out only"):
+            ses_from_dict(d)
+        with pytest.raises(ParameterError, match="delta0 may be left out only"):
+            TwoStrataSES(SPLICE_SES.K0_I, SPLICE_SES.K1_I, SPLICE_SES.K0_Q, SPLICE_SES.K1_Q)
+
+    def test_empty_delta_defaults_to_its_one_value(self):
+        s = TwoStrataSES(Z, TRIVIAL, Z, TRIVIAL)
+        assert s.delta0 == IntMatrix.zero(0, 1) and s.delta1 == IntMatrix.zero(1, 0)
+
+    def test_missing_matrix_field_is_a_parameter_error(self):
+        d = ses_to_dict(SPLICE_SES)
+        del d["delta0"]["entries"]
+        with pytest.raises(ParameterError, match="delta0 is missing the key 'entries'"):
+            ses_from_dict(d)
+
     def test_torsion_group_parses_then_rejected(self):
         d = ses_to_dict(SPLICE_SES)
         d["K0_Q"] = {"rank": 3, "torsion": [2]}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fell_lab.spaces
 from fell_lab.spaces import (
     BrokenHeart,
     CoverChart,
@@ -20,6 +21,7 @@ from fell_lab.spaces import (
     TwistedSphere,
     UnknownBranchClassError,
     VertexPiece,
+    WedgeModel,
     aab_ab_base,
     aab_ab_figure_cover,
     approach_sequences,
@@ -27,6 +29,7 @@ from fell_lab.spaces import (
     interval_base,
     model_from_dict,
     qkey,
+    read_json,
     resolve_orbit,
     sample_base_points,
     wedge,
@@ -294,6 +297,21 @@ class TestWedge:
                 PointRef(0, (0.0,)),
             )
 
+    def test_direct_construction_checks_the_glue(self):
+        # 0.5 on the solenoid has a fiber of size 2: not a wedge point, even
+        # when the wedge is constructed without ``wedge``.
+        with pytest.raises(InvalidWedgeError):
+            WedgeModel(SolenoidAabAb(), BrokenHeart(), PointRef(0, (0.5,)), PointRef(0, (0.0,)))
+        with pytest.raises(InvalidWedgeError):  # q: a branch point
+            WedgeModel(SolenoidAabAb(), BrokenHeart(), PointRef(0, (2.5,)), PointRef(1, (1.0,)))
+
+    def test_glue_points_are_stored_normalized(self):
+        model = WedgeModel(
+            SolenoidAabAb(), BrokenHeart(), PointRef(0, (5.5,)), PointRef(0, (1e-12,))
+        )
+        assert model == standard_wedge()
+        assert model.left_point == PointRef(0, (2.5,))
+
     def test_prefixed_branch_classes(self):
         model = standard_wedge()
         names = {c.name for c in model.branch_classes}
@@ -493,3 +511,102 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             model_from_dict({"kind": "moebius"})
+
+    def test_cover_round_trip_writes_vertex_pieces(self):
+        charts = aab_ab_figure_cover().to_dict()["charts"]
+        assert charts[0]["pieces"][1] == {"vertex": "ab"}
+        assert charts[3]["pieces"] == [
+            {"stratum": "a", "lo": 0.1, "hi": 0.9, "lo_closed": False, "hi_closed": False,
+             "reverse": False}
+        ]
+
+
+UNDECLARED_MODEL_KEYS = [
+    ({"kind": "twisted_sphere", "equator_thta": 0.9}, "equator_thta"),
+    ({"kind": "solenoid_aab_ab", "marks": [0.0]}, "marks"),
+    ({"kind": "pinch", "split_points": [0.5], "sheets": 2, "sheet": 3}, "sheet"),
+    ({**standard_wedge().to_dict(), "left_pt": {"chart": 0, "coord": [2.5]}}, "left_pt"),
+    ({**standard_wedge().to_dict(), "right": {"kind": "broken_heart", "x": 1}}, "x"),
+    ({**standard_wedge().to_dict(), "left_point": {"chart": 0, "cord": [2.5]}}, "cord"),
+    ({**aab_ab_figure_cover().to_dict(), "bse": "aab_ab"}, "bse"),
+    ({"kind": "cover", "base": "interval", "charts": [{"pieces": [], "name": "c"}]}, "name"),
+    (
+        {"kind": "cover", "base": "interval",
+         "charts": [{"pieces": [{"stratum": "x", "lo": 0.0, "hi": 1.0, "reversed": True}]}]},
+        "reversed",
+    ),
+    (
+        {"kind": "cover", "base": "aab_ab", "charts": [{"pieces": [{"vertex": "ab", "lo": 0.0}]}]},
+        "lo",
+    ),
+]
+
+
+class TestStrictReader:
+    @pytest.mark.parametrize(
+        "d, key", UNDECLARED_MODEL_KEYS, ids=[key for _, key in UNDECLARED_MODEL_KEYS]
+    )
+    def test_undeclared_key_is_named(self, d, key):
+        with pytest.raises(ParameterError, match=f"no key {key!r}; it reads "):
+            model_from_dict(d)
+
+    def test_message_lists_the_declared_fields(self):
+        with pytest.raises(ParameterError) as info:
+            model_from_dict({"kind": "twisted_sphere", "equator_thta": 0.9})
+        assert str(info.value) == (
+            "a twisted_sphere model has no key 'equator_thta'; it reads kind, equator_theta"
+        )
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            {"kind": "pinch", "split_points": [0.5]},
+            {"kind": "wedge", "left": {"kind": "broken_heart"}},
+            {**standard_wedge().to_dict(), "left_point": {"coord": [2.5]}},
+            {"kind": "cover", "base": "interval"},
+            {"kind": "cover", "base": "interval", "charts": [{"pieces": [{"stratum": "x"}]}]},
+        ],
+    )
+    def test_missing_required_field_is_a_parameter_error(self, d):
+        with pytest.raises(ParameterError, match="is missing the key"):
+            model_from_dict(d)
+
+    def test_defaulted_field_may_be_left_out(self):
+        assert model_from_dict({"kind": "twisted_sphere"}) == TwistedSphere()
+
+    @pytest.mark.parametrize(
+        "tp, value",
+        [
+            (PointRef, {"chart": 0, "coord": (1.0,)}),  # a tuple is not a JSON array
+            (PointRef, {"chart": 0, "coord": 1.0}),
+            (PointRef, {"chart": 0.0, "coord": [1.0]}),
+            (PointRef, [0, [1.0]]),
+            (tuple[float, ...], [1.0, True]),
+            (tuple[str, ...], ["a", 1]),
+            (complex, [1.0]),
+            (complex, [1.0, 2.0, 3.0]),
+            (complex, [1.0, float("nan")]),
+            (Span, {"stratum": 1, "lo": 0.0, "hi": 1.0}),
+        ],
+    )
+    def test_values_are_never_coerced(self, tp, value):
+        with pytest.raises(ParameterError):
+            read_json(tp, value, "a value")
+
+    def test_reads_declared_types(self):
+        assert read_json(PointRef, {"coord": [1, 2.5], "chart": 3}, "p") == PointRef(3, (1.0, 2.5))
+        assert read_json(tuple[complex, ...], [[1, -2], [0.5, 0]], "m") == (1 - 2j, 0.5 + 0j)
+        assert read_json(Span, {"stratum": "a", "lo": 0, "hi": 1, "reverse": True}, "s") == Span(
+            "a", 0.0, 1.0, reverse=True
+        )
+        assert read_json(VertexPiece, {"vertex": "ab"}, "v") == VertexPiece("ab")
+
+    def test_a_type_is_resolved_once(self, monkeypatch):
+        data = standard_wedge().to_dict()
+        model_from_dict(data)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("type hints resolved again")
+
+        monkeypatch.setattr(fell_lab.spaces, "get_type_hints", unexpected)
+        assert model_from_dict(data) == standard_wedge()

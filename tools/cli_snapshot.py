@@ -63,6 +63,11 @@ def input_files(where: Path) -> dict[str, str]:
                 "params": {"perturb_first_diag": 1e-3},
             },
         },
+        # A model key its class does not declare.
+        "sphere-misspelled-model-key": {
+            "model": {"kind": "twisted_sphere", "equator_thta": 0.9},
+            "element": {"rule": "builtin", "name": "twisted_sphere_projection"},
+        },
         "aab-ab-indicator": {
             "model": {"kind": "solenoid_aab_ab"},
             "element": {
@@ -86,6 +91,14 @@ def input_files(where: Path) -> dict[str, str]:
             "K0_Q": {"rank": 3},
             "K1_Q": {"rank": 0},
             "delta0": {"rows": 2, "cols": 3, "entries": [-1, 1, 0, 1, -1, 0]},
+        },
+        # The same system with delta0 under a key the system does not declare.
+        "ktheory-splice-misspelled": {
+            "K0_I": {"rank": 0},
+            "K1_I": {"rank": 2},
+            "K0_Q": {"rank": 3},
+            "K1_Q": {"rank": 0},
+            "delta_0": {"rows": 2, "cols": 3, "entries": [-1, 1, 0, 1, -1, 0]},
         },
     }
     where.mkdir(parents=True, exist_ok=True)
@@ -113,13 +126,14 @@ def cases(files: dict[str, str]) -> list[tuple[str, list[str]]]:
                 ["verify", files["sphere-perturbed"], "--samples", "2000", "--json"]))
     out.append(("verify-sphere-perturbed-text",
                 ["verify", files["sphere-perturbed"], "--samples", "2000"]))
-    for name in ("sphere-misspelled-param", "identity-param"):
+    for name in ("sphere-misspelled-param", "identity-param", "sphere-misspelled-model-key"):
         out.append((f"verify-{name}-json", ["verify", files[name], "--samples", "2000", "--json"]))
     out.append(("verify-aab-ab-indicator-json", ["verify", files["aab-ab-indicator"], "--json"]))
     out.append(("verify-wedge-grid-json", ["verify", files["wedge-grid"], "--json"]))
     out.append(("verify-wedge-grid-perturbed-json",
                 ["verify", files["wedge-grid-perturbed"], "--json"]))
-    for name in ("ktheory-10", "ktheory-25", "ktheory-40", "ktheory-splice"):
+    for name in ("ktheory-10", "ktheory-25", "ktheory-40", "ktheory-splice",
+                 "ktheory-splice-misspelled"):
         out.append((f"{name}-json", ["ktheory", "solve", files[name], "--json"]))
     return out
 
