@@ -603,7 +603,7 @@ def check_branch_continuity(
             for name in cls.members
         }
         limit_of = _classify_members(
-            model.charts, orbits[-1], target_orbits, seq.distances[-1]
+            model.periods, orbits[-1], target_orbits, seq.distances[-1]
         )
         defect = 0.0
         for name, torbit in target_orbits.items():

@@ -102,6 +102,8 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
     a divisibility chain d1 | d2 | ... with the zeros last.
     """
     m, n = a.rows, a.cols
+    if min(m, n) == 0:  # nothing to reduce; an empty matrix may still have many rows
+        return ()
     s = a.to_rows()
 
     def row_sub(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
@@ -476,25 +478,6 @@ def ses_from_dict(d: dict) -> TwoStrataSES:
     groups as ``{"rank": n}`` (optionally with ``"torsion"``, which the
     solver rejects) and matrices as ``{"rows", "cols", "entries"}`` with
     row-major entries.  Any other key raises ``ParameterError``.
+    ``spaces.write_json`` writes a system in this form.
     """
     return read_json(TwoStrataSES, d, "a six-term system")
-
-
-def ses_to_dict(s: TwoStrataSES) -> dict:
-    def g(x: FgAbGroup) -> dict:
-        out: dict = {"rank": x.rank}
-        if x.torsion:
-            out["torsion"] = list(x.torsion)
-        return out
-
-    def m(x: IntMatrix) -> dict:
-        return {"rows": x.rows, "cols": x.cols, "entries": list(x.entries)}
-
-    return {
-        "K0_I": g(s.K0_I),
-        "K1_I": g(s.K1_I),
-        "K0_Q": g(s.K0_Q),
-        "K1_Q": g(s.K1_Q),
-        "delta0": m(s.delta0),
-        "delta1": m(s.delta1),
-    }

@@ -51,6 +51,7 @@ from .spaces import (
     read_json,
     sample_base_points,
     wedge,
+    write_json,
 )
 
 class UnknownScenarioError(ValueError):
@@ -71,15 +72,6 @@ class Check:
     actual: str
     source: str = "stored"
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "expected": self.expected,
-            "actual": self.actual,
-            "source": self.source,
-        }
-
 
 @dataclass(frozen=True)
 class ScenarioResult:
@@ -98,7 +90,7 @@ class ScenarioResult:
             "parameters": self.parameters,
             "passed": self.passed,
             "flags": list(self.flags),
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": write_json(self.checks),
         }
 
     def text(self) -> str:

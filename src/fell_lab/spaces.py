@@ -12,9 +12,9 @@ and the finite classes of base points that cannot be separated by open sets
 * ``wedge`` glues two models at points with singleton fibers away from any
   branch class, the condition under which the glued projection is again a
   local homeomorphism;
-* ``build_cover_groupoid`` turns a chart cover of a base space into the
-  model whose fiber over x consists of the copies of x in each covering
-  chart;
+* ``build_cover_groupoid`` turns a chart cover of a named base space into
+  the model whose fiber over x consists of the copies of x in each covering
+  chart, and checks that the charts cover the base;
 * ``approach_sequences`` produces geometric sample sequences walking into a
   branch class, one per approach direction, for continuity checks;
 * ``sample_base_points`` draws per-chart quasi-uniform grids and always
@@ -25,6 +25,11 @@ at 1e-9 (the membership tolerance for angles reduced modulo a period), so
 re-resolving an orbit from any of its members yields an equal orbit even
 though e.g. ``(theta + pi) - pi != theta`` in IEEE arithmetic.  Models are
 immutable and every function here is pure.
+
+Every model is a record whose constructor fields are its file form:
+``read_json`` reads a value of a declared type from JSON, coercing nothing,
+and ``write_json`` writes the JSON value that reads back.  A model checks
+itself when it is constructed, from a file or in code.
 
 Cover models built from generic chart data carry no approach-direction
 information, so they expose branch classes but no approach sequences.
@@ -37,7 +42,7 @@ import inspect
 import math
 import random
 import types
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, ClassVar, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 TOL = 1e-9
@@ -138,9 +143,29 @@ def read_json(tp: object, value: object, what: str) -> object:
     X, ``X | None`` reads X, and a ``SpaceModel`` is read by its ``kind``.
     A dataclass or NamedTuple is an object keyed by its constructor's
     fields, a field with a default may be left out, and any other key is an
-    error that names it.  ``what`` names the value in messages.
+    error that names it.  A union of records reads an object as the first
+    member whose first field it names, and any other value as the last
+    member.  ``what`` names the value in messages.
     """
     return _reader(tp, what)(value)
+
+
+def write_json(value: object) -> object:
+    """The JSON value that ``read_json`` reads back as ``value``.
+
+    A record is an object of its fields, and a model's object names its
+    ``kind`` first; a tuple is an array; a scalar is itself.
+    """
+    if hasattr(value, "_fields"):  # a NamedTuple
+        return {name: write_json(x) for name, x in zip(value._fields, value)}
+    if isinstance(value, tuple):
+        return [write_json(x) for x in value]
+    if is_dataclass(value):
+        out = {"kind": value.kind} if isinstance(value, SpaceModel) else {}
+        for f in fields(value):
+            out[f.name] = write_json(getattr(value, f.name))
+        return out
+    return value
 
 
 _SCALARS = {int: exact_int, float: finite_float, bool: json_bool, str: json_str,
@@ -165,8 +190,16 @@ def _reader(tp: object, what: str) -> Callable[[object], object]:
             return tuple([item(x) for x in json_array(value, what)])
 
         return read_array
-    if origin in (Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        return _reader(args[0] if args[1] is type(None) else args[1], what)
+    if origin in (Union, types.UnionType):
+        *firsts, last = [a for a in args if a is not type(None)]
+        keyed = [(next(iter(inspect.signature(a).parameters)), _reader(a, what)) for a in firsts]
+        read_last = _reader(last, what)
+
+        def read_union(value: object) -> object:
+            named = [read for key, read in keyed if isinstance(value, dict) and key in value]
+            return (named + [read_last])[0](value)
+
+        return read_union if keyed else read_last
     if tp is SpaceModel:  # looked up per call, so that a rebound model_from_dict is used
         return lambda value: model_from_dict(value)
     if not (is_dataclass(tp) or hasattr(tp, "_fields")):  # a dataclass or a NamedTuple
@@ -276,7 +309,7 @@ class SpaceModel:
     kind: ClassVar[str]  # the file-format name, declared once per model class
 
     @property
-    def charts(self) -> tuple[float | None, ...]:
+    def periods(self) -> tuple[float | None, ...]:
         """Per chart, the period of its angular axis-0 coordinate (None if
         linear); other axes are always linear."""
         raise NotImplementedError
@@ -329,19 +362,8 @@ class SpaceModel:
         return pairs
 
     def to_dict(self) -> dict:
-        """The form ``model_from_dict`` reads: ``kind`` plus each constructor
-        field, points as ``{"chart", "coord"}`` and nested models likewise."""
-        out = {"kind": self.kind}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, SpaceModel):
-                value = value.to_dict()
-            elif isinstance(value, PointRef):
-                value = {"chart": value.chart, "coord": list(value.coord)}
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        """The form ``model_from_dict`` reads: ``kind`` plus each constructor field."""
+        return write_json(self)
 
 
 def resolve_orbit(model: SpaceModel, y: PointRef) -> Orbit:
@@ -427,7 +449,7 @@ class SolenoidAabAb(SpaceModel):
     MARKS: ClassVar[tuple[float, ...]] = (0.0, 1.0, 2.0)
 
     @property
-    def charts(self) -> tuple[float | None, ...]:
+    def periods(self) -> tuple[float | None, ...]:
         return (3.0,)
 
     @property
@@ -503,7 +525,7 @@ class BrokenHeart(SpaceModel):
     kind: ClassVar[str] = "broken_heart"
 
     @property
-    def charts(self) -> tuple[float | None, ...]:
+    def periods(self) -> tuple[float | None, ...]:
         return (None, None, None)
 
     @property
@@ -594,7 +616,7 @@ class TwistedSphere(SpaceModel):
     equator_theta: float = 0.3
 
     @property
-    def charts(self) -> tuple[float | None, ...]:
+    def periods(self) -> tuple[float | None, ...]:
         return (TWO_PI, TWO_PI, TWO_PI)
 
     @property
@@ -733,7 +755,7 @@ class PinchCircle(SpaceModel):
         object.__setattr__(self, "split_points", pts)
 
     @property
-    def charts(self) -> tuple[float | None, ...]:
+    def periods(self) -> tuple[float | None, ...]:
         return (1.0,) * self.sheets
 
     @property
@@ -827,11 +849,15 @@ class WedgeModel(SpaceModel):
 
     @functools.cached_property  # read on every shift of a right-factor point
     def offset(self) -> int:
-        return len(self.left.charts)
+        return len(self.left.periods)
+
+    @functools.cached_property  # read on every orbit through either factor
+    def glue_keys(self) -> tuple[tuple, tuple]:
+        return qkey(self.left_point), qkey(self.right_point)
 
     @property
-    def charts(self) -> tuple[float | None, ...]:
-        return self.left.charts + self.right.charts
+    def periods(self) -> tuple[float | None, ...]:
+        return self.left.periods + self.right.periods
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
@@ -874,13 +900,11 @@ class WedgeModel(SpaceModel):
     def orbit_members(self, y: PointRef) -> list[PointRef]:
         if y.chart < self.offset:
             local = self.left.orbit_members(y)
-            keys = {qkey(m) for m in local}
-            if qkey(self.left_point) in keys:
+            if self.glue_keys[0] in [qkey(m) for m in local]:
                 return [self.left_point]
             return local
         local = self.right.orbit_members(self._unshift(y))
-        keys = {qkey(m) for m in local}
-        if qkey(self.right_point) in keys:
+        if self.glue_keys[1] in [qkey(m) for m in local]:
             return [self.left_point]
         return [self._shift(m) for m in local]
 
@@ -961,7 +985,7 @@ class CoverChart:
     resulting subset of the base is open and Hausdorff.
     """
 
-    pieces: tuple[Span | VertexPiece, ...]
+    pieces: tuple[VertexPiece | Span, ...]
 
     def _offsets(self) -> list[float]:
         out = []
@@ -1005,7 +1029,6 @@ class CoverChart:
 class BaseSpace:
     """A described base: named one-dimensional strata plus named vertices."""
 
-    name: str
     strata: tuple[tuple[str, float, float, bool, bool], ...]
     vertices: tuple[str, ...]
     branch: tuple[BranchClass, ...] = ()
@@ -1023,49 +1046,61 @@ class BaseSpace:
         return pts
 
 
-def interval_base() -> BaseSpace:
-    """The closed unit interval: one stratum, no vertices, Hausdorff."""
-    return BaseSpace(name="interval", strata=(("x", 0.0, 1.0, True, True),), vertices=())
-
-
-def aab_ab_base() -> BaseSpace:
-    """Two open edges a, b plus the split triple point ab/ba/aa."""
-    return BaseSpace(
-        name="aab_ab",
+# The bases a cover names: the closed unit interval (one stratum, no vertices,
+# Hausdorff), and two open edges a, b plus the split triple point ab/ba/aa.
+_BASES = {
+    "interval": BaseSpace(strata=(("x", 0.0, 1.0, True, True),), vertices=()),
+    "aab_ab": BaseSpace(
         strata=(("a", 0.0, 1.0, False, False), ("b", 0.0, 1.0, False, False)),
         vertices=("ab", "ba", "aa"),
         branch=(BranchClass("wedge", ("ab", "ba", "aa")),),
-    )
+    ),
+}
 
-
-_BASES = {"interval": interval_base, "aab_ab": aab_ab_base}
+# Points per stratum of the grid on which a chart cover's coverage is checked.
+COVER_CHECK_GRID = 128
 
 
 @dataclass(frozen=True)
 class CoverModel(SpaceModel):
-    """Disjoint union of cover charts over a described base.
+    """Model of the identity-on-charts projection from a chart cover of a base.
 
     The fiber over a base point is the set of its copies across all charts
-    containing it; construction via ``build_cover_groupoid`` checks coverage
-    on a sample grid.
+    containing it.  Construction looks the base up by name (``"interval"``
+    or ``"aab_ab"``), raising ``ParameterError`` for any other, and checks
+    coverage on a grid of ``COVER_CHECK_GRID`` points per stratum: an
+    uncovered point raises ``CoverageError``.  Hausdorffness of the
+    individual charts is a precondition on the caller.
     """
 
     kind: ClassVar[str] = "cover"
-    base: BaseSpace
-    cover_charts: tuple[CoverChart, ...]
+    base: str
+    charts: tuple[CoverChart, ...]
+
+    def __post_init__(self) -> None:
+        if self.base not in _BASES:
+            raise ParameterError(f"unknown base space {self.base!r}")
+        object.__setattr__(self, "charts", tuple(self.charts))
+        for x in self.base_space.grid(COVER_CHECK_GRID):
+            if all(cc.local_of(x) is None for cc in self.charts):
+                raise CoverageError(f"base point {x!r} is not covered by any chart")
 
     @property
-    def charts(self) -> tuple[float | None, ...]:
-        return (None,) * len(self.cover_charts)
+    def base_space(self) -> BaseSpace:
+        return _BASES[self.base]
+
+    @property
+    def periods(self) -> tuple[float | None, ...]:
+        return (None,) * len(self.charts)
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
-        return self.base.branch
+        return self.base_space.branch
 
     def named_points(self) -> dict[str, PointRef]:
         out = {}
-        for v in self.base.vertices:
-            for j, cc in enumerate(self.cover_charts):
+        for v in self.base_space.vertices:
+            for j, cc in enumerate(self.charts):
                 s = cc.local_of((v,))
                 if s is not None:
                     out[v] = PointRef(j, (s,))
@@ -1073,64 +1108,34 @@ class CoverModel(SpaceModel):
         return out
 
     def normalize(self, y: PointRef) -> PointRef:
-        if not (0 <= y.chart < len(self.cover_charts)) or len(y.coord) != 1:
+        if not (0 <= y.chart < len(self.charts)) or len(y.coord) != 1:
             raise DomainError(f"invalid point {y!r} for cover model")
-        self.cover_charts[y.chart].base_of(y.coord[0])  # raises if outside
+        self.charts[y.chart].base_of(y.coord[0])  # raises if outside
         return y
 
     def orbit_members(self, y: PointRef) -> list[PointRef]:
-        x = self.cover_charts[y.chart].base_of(y.coord[0])
+        x = self.charts[y.chart].base_of(y.coord[0])
         members = []
-        for j, cc in enumerate(self.cover_charts):
+        for j, cc in enumerate(self.charts):
             s = cc.local_of(x)
             if s is not None:
                 members.append(PointRef(j, (s,)))
         return members
 
     def sample_points(self, n: int, seed: int = 0) -> list[PointRef]:
-        per = max(n // max(len(self.base.strata), 1), 8)
+        per = max(n // max(len(self.base_space.strata), 1), 8)
         pts = []
-        for x in self.base.grid(per):
-            for j, cc in enumerate(self.cover_charts):
+        for x in self.base_space.grid(per):
+            for j, cc in enumerate(self.charts):
                 s = cc.local_of(x)
                 if s is not None:
                     pts.append(PointRef(j, (s,)))
                     break
         return pts
 
-    def to_dict(self) -> dict:
-        # The file form names the base and writes each chart as its pieces.
-        return {
-            "kind": self.kind,
-            "base": self.base.name,
-            "charts": [{"pieces": [asdict(p) for p in cc.pieces]} for cc in self.cover_charts],
-        }
 
-
-# Points per stratum of the grid on which a chart cover's coverage is checked.
-COVER_CHECK_GRID = 128
-
-
-def build_cover_groupoid(
-    base: BaseSpace | str,
-    charts: list[CoverChart] | tuple[CoverChart, ...],
-) -> CoverModel:
-    """Model of the identity-on-charts projection from a chart cover.
-
-    Coverage of the base is checked on a sample grid of ``COVER_CHECK_GRID``
-    points per stratum; an uncovered point raises ``CoverageError``.
-    Hausdorffness of the individual charts is a precondition on the caller.
-    """
-    if isinstance(base, str):
-        try:
-            base = _BASES[base]()
-        except KeyError:
-            raise ParameterError(f"unknown base space {base!r}") from None
-    model = CoverModel(base=base, cover_charts=tuple(charts))
-    for x in base.grid(COVER_CHECK_GRID):
-        if all(cc.local_of(x) is None for cc in model.cover_charts):
-            raise CoverageError(f"base point {x!r} is not covered by any chart")
-    return model
+# A chart cover is construction: ``build_cover_groupoid(base, charts)``.
+build_cover_groupoid = CoverModel
 
 
 def aab_ab_figure_cover() -> CoverModel:
@@ -1147,7 +1152,7 @@ def aab_ab_figure_cover() -> CoverModel:
     )
     a_mid = CoverChart(pieces=(Span("a", 0.1, 0.9),))
     b_mid = CoverChart(pieces=(Span("b", 0.1, 0.9),))
-    return build_cover_groupoid(aab_ab_base(), (n_ab, n_ba, n_aa, a_mid, b_mid))
+    return CoverModel("aab_ab", (n_ab, n_ba, n_aa, a_mid, b_mid))
 
 
 # ---------------------------------------------------------------------------
@@ -1156,29 +1161,16 @@ def aab_ab_figure_cover() -> CoverModel:
 
 
 _MODEL_CLASSES = {
-    cls.kind: cls for cls in (SolenoidAabAb, BrokenHeart, TwistedSphere, PinchCircle, WedgeModel)
+    cls.kind: cls
+    for cls in (SolenoidAabAb, BrokenHeart, TwistedSphere, PinchCircle, WedgeModel, CoverModel)
 }
 
 
 def model_from_dict(d: dict) -> SpaceModel:
-    """Build a model from the form its ``to_dict`` writes.
-
-    ``kind`` selects the class, whose constructor fields ``read_json`` reads.
-    A cover's form is its base's name and, per chart, its ``Span`` and
-    ``VertexPiece`` pieces.
-    """
+    """Build a model from the form its ``to_dict`` writes: ``kind`` selects
+    the class, whose constructor fields ``read_json`` reads."""
     d = json_object(d, "a model")
     kind = d.get("kind")
-    if kind == "cover":
-        d = json_keys(d, ("kind", "base", "charts"), "a cover model")
-        charts = []
-        for c in json_array(d["charts"], "charts"):
-            pieces = []
-            for p in json_array(json_keys(c, ("pieces",), "a cover chart")["pieces"], "pieces"):
-                tp = VertexPiece if isinstance(p, dict) and "vertex" in p else Span
-                pieces.append(read_json(tp, p, "a cover piece"))
-            charts.append(CoverChart(tuple(pieces)))
-        return build_cover_groupoid(json_str(d["base"], "base"), charts)
     cls = _MODEL_CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ParameterError(f"unknown model kind {kind!r}")

@@ -1,6 +1,7 @@
 """Property test of the command line contract on mutated inputs.
 
-Every ``verify`` file, ``ktheory solve`` file and ``example`` parameter list
+Every ``verify`` file (over the standard wedge or the figure cover of the
+split-wedge base), ``ktheory solve`` file and ``example`` parameter list
 ends in exit 0, 1 or 2 with no exception escaping ``cli.main``; exit 2 prints
 nothing on stdout and exactly one ``error:`` line on stderr, and exits 0 and
 1 print nothing on stderr.  Inputs are valid files with one or two nodes
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from fell_lab.cli import main
 from fell_lab.conv import BUILTINS
+from fell_lab.spaces import aab_ab_figure_cover
 
 # Includes a newline: an error message that embeds one breaks the one-line rule.
 TEXT = st.text("abkmprstz_0.-=\n", max_size=5)
@@ -50,6 +52,7 @@ WEDGE = {
     "left_point": {"chart": 0, "coord": [2.5]},
     "right_point": {"chart": 0, "coord": [0.0]},
 }
+MODELS = [WEDGE, aab_ab_figure_cover().to_dict()]
 ELEMENTS = [
     {"rule": "builtin", "name": "identity"},
     {"rule": "builtin", "name": "zero", "params": {}},
@@ -171,7 +174,7 @@ def file_argv(tmp_path, command, data):
 
 
 @FUZZ
-@given(data=mutants([{"model": WEDGE, "element": e} for e in ELEMENTS]),
+@given(data=mutants([{"model": m, "element": e} for m in MODELS for e in ELEMENTS]),
        samples=st.integers(-1, 40), as_json=st.booleans(), tol=st.floats(width=64))
 def test_verify_files(tmp_path, data, samples, as_json, tol):
     argv = file_argv(tmp_path, ["verify"], data) + [f"--samples={samples}", f"--tol={tol!r}"]
@@ -180,7 +183,7 @@ def test_verify_files(tmp_path, data, samples, as_json, tol):
 
 @FUZZ
 @given(command_and_file=st.sampled_from(
-           [(["verify"], {"model": WEDGE, "element": e}) for e in ELEMENTS]
+           [(["verify"], {"model": m, "element": e}) for m in MODELS for e in ELEMENTS]
            + [(["ktheory", "solve"], f) for f in KTHEORY_FILES]),
        data=st.data())
 def test_undeclared_key_at_any_depth_exit_2(tmp_path, command_and_file, data):

@@ -47,7 +47,6 @@ from fell_lab.spaces import (
     TwistedSphere,
     approach_sequences,
     build_cover_groupoid,
-    interval_base,
     resolve_orbit,
     sample_base_points,
     wedge,
@@ -312,7 +311,7 @@ def quarters_cover():
     charts = [
         CoverChart(pieces=(Span("x", lo, 1.0, lo == 0.0, True),)) for lo in (0.0, 0.25, 0.5, 0.75)
     ]
-    return build_cover_groupoid(interval_base(), charts)
+    return build_cover_groupoid("interval", charts)
 
 
 def random_matrix(rng, d: int) -> np.ndarray:

@@ -22,11 +22,11 @@ from fell_lab.ktheory import (
     pinch_k_theory,
     pinch_strata_oracle,
     ses_from_dict,
-    ses_to_dict,
     smith_normal_form,
     solve_six_term,
     vertex_class_boundary,
 )
+from fell_lab.spaces import write_json
 from snf_reference import (
     assert_snf_postconditions,
     identity,
@@ -192,6 +192,16 @@ class TestSmithNormalForm:
             assert u == identity(rows)
             assert v == identity(cols)
             assert smith_normal_form(a) == ()
+
+    def test_empty_shape_builds_no_rows(self, monkeypatch):
+        # A 10^6 x 0 matrix has nothing to reduce; building its rows would
+        # cost memory in proportion to the row count.
+        def unexpected(self):
+            raise AssertionError("rows built for an empty matrix")
+
+        monkeypatch.setattr(IntMatrix, "to_rows", unexpected)
+        assert smith_normal_form(IntMatrix.zero(10**6, 0)) == ()
+        assert smith_normal_form(IntMatrix.zero(0, 10**6)) == ()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -480,11 +490,11 @@ class TestPinch:
 
 class TestSerialization:
     def test_round_trip(self):
-        d = ses_to_dict(SPLICE_SES)
+        d = write_json(SPLICE_SES)
         assert ses_from_dict(d) == SPLICE_SES
 
     def test_delta1_defaults_to_zero(self):
-        d = ses_to_dict(SPLICE_SES)
+        d = write_json(SPLICE_SES)
         del d["delta1"]
         assert ses_from_dict(d) == SPLICE_SES
 
@@ -498,14 +508,14 @@ class TestSerialization:
         ids=["delta_0", "torsoin", "shape"],
     )
     def test_undeclared_key_is_named(self, edit, key):
-        d = ses_to_dict(SPLICE_SES)
+        d = write_json(SPLICE_SES)
         edit(d)
         with pytest.raises(ParameterError, match=f"no key {key!r}; it reads "):
             ses_from_dict(d)
 
     def test_nonempty_delta_may_not_be_left_out(self):
         # delta0 is 2 x 3 here: leaving it out is not the zero map.
-        d = ses_to_dict(SPLICE_SES)
+        d = write_json(SPLICE_SES)
         del d["delta0"]
         with pytest.raises(ParameterError, match="delta0 may be left out only"):
             ses_from_dict(d)
@@ -517,13 +527,13 @@ class TestSerialization:
         assert s.delta0 == IntMatrix.zero(0, 1) and s.delta1 == IntMatrix.zero(1, 0)
 
     def test_missing_matrix_field_is_a_parameter_error(self):
-        d = ses_to_dict(SPLICE_SES)
+        d = write_json(SPLICE_SES)
         del d["delta0"]["entries"]
         with pytest.raises(ParameterError, match="delta0 is missing the key 'entries'"):
             ses_from_dict(d)
 
     def test_torsion_group_parses_then_rejected(self):
-        d = ses_to_dict(SPLICE_SES)
+        d = write_json(SPLICE_SES)
         d["K0_Q"] = {"rank": 3, "torsion": [2]}
         with pytest.raises(UnsupportedInputError):
             ses_from_dict(d)

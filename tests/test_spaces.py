@@ -10,6 +10,7 @@ import fell_lab.spaces
 from fell_lab.spaces import (
     BrokenHeart,
     CoverChart,
+    CoverModel,
     CoverageError,
     DomainError,
     InvalidWedgeError,
@@ -22,17 +23,16 @@ from fell_lab.spaces import (
     UnknownBranchClassError,
     VertexPiece,
     WedgeModel,
-    aab_ab_base,
     aab_ab_figure_cover,
     approach_sequences,
     build_cover_groupoid,
-    interval_base,
     model_from_dict,
     qkey,
     read_json,
     resolve_orbit,
     sample_base_points,
     wedge,
+    write_json,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -52,7 +52,7 @@ def assert_orbits_close(model, a, b, tol=2e-9):
     for ma, mb in zip(a.members, b.members):
         assert ma.chart == mb.chart
         for axis, (ca, cb) in enumerate(zip(ma.coord, mb.coord)):
-            period = model.charts[ma.chart] if axis == 0 else None
+            period = model.periods[ma.chart] if axis == 0 else None
             d = abs(ca - cb)
             if period is not None:
                 d = min(d, period - d)
@@ -321,7 +321,7 @@ class TestWedge:
         outer = wedge(
             standard_wedge(), BrokenHeart(), PointRef(2, (0.5,)), PointRef(1, (0.4,))
         )
-        assert len(outer.charts) == 7
+        assert len(outer.periods) == 7
         glue = resolve_orbit(outer, PointRef(2, (0.5,)))
         assert glue.size == 1
         assert glue == resolve_orbit(outer, PointRef(5, (0.4,)))
@@ -338,7 +338,7 @@ class TestWedge:
 class TestCoverGroupoid:
     def test_single_chart_hausdorff_base(self):
         chart = CoverChart(pieces=(Span("x", 0.0, 1.0, True, True),))
-        model = build_cover_groupoid(interval_base(), (chart,))
+        model = build_cover_groupoid("interval", (chart,))
         for y in sample_base_points(model, 40):
             assert resolve_orbit(model, y).size == 1
 
@@ -354,6 +354,16 @@ class TestCoverGroupoid:
         only_half = CoverChart(pieces=(Span("x", 0.0, 0.5, True, False),))
         with pytest.raises(CoverageError):
             build_cover_groupoid("interval", (only_half,))
+
+    def test_cover_built_in_code_checks_itself(self):
+        half = CoverChart((Span("x", 0.0, 0.5, True, False),))
+        with pytest.raises(CoverageError):
+            CoverModel("interval", (half,))
+        with pytest.raises(ParameterError, match="unknown base space 'moon'"):
+            CoverModel("moon", (half,))
+        whole = CoverModel("interval", [CoverChart((Span("x", 0.0, 1.0, True, True),))])
+        assert type(whole.charts) is tuple
+        assert build_cover_groupoid is CoverModel
 
     def test_figure_cover_against_brute_force(self):
         # Independent membership predicates for the five charts.
@@ -384,7 +394,7 @@ class TestCoverGroupoid:
         for x in base_points:
             lifts = [
                 PointRef(j, (cc.local_of(x),))
-                for j, cc in enumerate(model.cover_charts)
+                for j, cc in enumerate(model.charts)
                 if cc.local_of(x) is not None
             ]
             assert lifts, x
@@ -392,9 +402,9 @@ class TestCoverGroupoid:
 
     def test_figure_cover_expected_sizes(self):
         model = aab_ab_figure_cover()
-        a_quarter = model.cover_charts[3].local_of(("a", 0.25))
+        a_quarter = model.charts[3].local_of(("a", 0.25))
         assert resolve_orbit(model, PointRef(3, (a_quarter,))).size == 3
-        a_half = model.cover_charts[3].local_of(("a", 0.5))
+        a_half = model.charts[3].local_of(("a", 0.5))
         assert resolve_orbit(model, PointRef(3, (a_half,))).size == 1
         named = model.named_points()
         for v in ("ab", "ba", "aa"):
@@ -488,6 +498,7 @@ class TestSerialization:
     def test_cover_round_trip(self):
         model = aab_ab_figure_cover()
         rebuilt = model_from_dict(model.to_dict())
+        assert rebuilt == model
         assert rebuilt.to_dict() == model.to_dict()
 
     @pytest.mark.parametrize(
@@ -601,12 +612,38 @@ class TestStrictReader:
         )
         assert read_json(VertexPiece, {"vertex": "ab"}, "v") == VertexPiece("ab")
 
+    def test_union_reads_the_member_whose_first_field_is_named(self):
+        tp = tuple[VertexPiece | Span, ...]
+        pieces = read_json(tp, [{"vertex": "ab"}, {"stratum": "a", "lo": 0, "hi": 1}], "pieces")
+        assert pieces == (VertexPiece("ab"), Span("a", 0.0, 1.0))
+        with pytest.raises(ParameterError, match=r"^pieces\[\] has no key 'lo'; it reads vertex$"):
+            read_json(tp, [{"vertex": "ab", "lo": 0.0}], "pieces")
+        with pytest.raises(ParameterError, match=r"^pieces\[\] is missing the key 'stratum'$"):
+            read_json(tp, [{"lo": 0.0, "hi": 1.0}], "pieces")
+        with pytest.raises(ParameterError, match=r"^pieces\[\] must be a JSON object"):
+            read_json(tp, [3], "pieces")
+
+    @pytest.mark.parametrize(
+        "tp, value",
+        [
+            (PointRef, PointRef(2, (0.5, -1.0))),
+            (tuple[VertexPiece | Span, ...], (Span("a", 0.0, 0.5, True), VertexPiece("ab"))),
+            (CoverChart, aab_ab_figure_cover().charts[0]),
+            (tuple[float, ...], (0.25, 0.5)),
+        ],
+    )
+    def test_writer_is_the_readers_inverse(self, tp, value):
+        assert read_json(tp, write_json(value), "a value") == value
+
     def test_a_type_is_resolved_once(self, monkeypatch):
-        data = standard_wedge().to_dict()
+        data, cover = standard_wedge().to_dict(), aab_ab_figure_cover().to_dict()
         model_from_dict(data)
+        model_from_dict(cover)
 
         def unexpected(*args, **kwargs):
             raise AssertionError("type hints resolved again")
 
         monkeypatch.setattr(fell_lab.spaces, "get_type_hints", unexpected)
+        monkeypatch.setattr(fell_lab.spaces.inspect, "signature", unexpected)
         assert model_from_dict(data) == standard_wedge()
+        assert model_from_dict(cover) == aab_ab_figure_cover()

@@ -37,6 +37,18 @@ def input_files(where: Path) -> dict[str, str]:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
+    def span(stratum, lo, hi):
+        return {"stratum": stratum, "lo": lo, "hi": hi}
+
+    # The five-chart cover of the split-wedge base, as aab_ab_figure_cover() builds it.
+    figure_cover = {"kind": "cover", "base": "aab_ab", "charts": [
+        {"pieces": [span("b", 0.5, 1.0), {"vertex": "ab"}, span("a", 0.0, 0.5)]},
+        {"pieces": [span("a", 0.5, 1.0), {"vertex": "ba"}, span("b", 0.0, 0.5)]},
+        {"pieces": [span("a", 0.5, 1.0), {"vertex": "aa"}, span("a", 0.0, 0.5)]},
+        {"pieces": [span("a", 0.1, 0.9)]},
+        {"pieces": [span("b", 0.1, 0.9)]},
+    ]}
+    identity = {"rule": "builtin", "name": "identity"}
     files = {
         "sphere-perturbed": {
             "model": {"kind": "twisted_sphere"},
@@ -78,6 +90,13 @@ def input_files(where: Path) -> dict[str, str]:
                     ]
                 },
             },
+        },
+        "cover-identity": {"model": figure_cover, "element": identity},
+        # A vertex piece with a span's key.
+        "cover-misspelled-piece-key": {
+            "model": {"kind": "cover", "base": "aab_ab",
+                      "charts": [{"pieces": [{"vertex": "ab", "lo": 0.0}]}]},
+            "element": identity,
         },
         "wedge-grid": workloads.grid_file(300, False, random.Random(1)).data,
         "wedge-grid-perturbed": workloads.grid_file(300, True, random.Random(2)).data,
@@ -129,6 +148,8 @@ def cases(files: dict[str, str]) -> list[tuple[str, list[str]]]:
     for name in ("sphere-misspelled-param", "identity-param", "sphere-misspelled-model-key"):
         out.append((f"verify-{name}-json", ["verify", files[name], "--samples", "2000", "--json"]))
     out.append(("verify-aab-ab-indicator-json", ["verify", files["aab-ab-indicator"], "--json"]))
+    for name in ("cover-identity", "cover-misspelled-piece-key"):
+        out.append((f"verify-{name}-json", ["verify", files[name], "--json"]))
     out.append(("verify-wedge-grid-json", ["verify", files["wedge-grid"], "--json"]))
     out.append(("verify-wedge-grid-perturbed-json",
                 ["verify", files["wedge-grid-perturbed"], "--json"]))
