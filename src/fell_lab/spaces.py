@@ -9,14 +9,15 @@ and the finite classes of base points that cannot be separated by open sets
 * ``resolve_orbit`` returns the full fiber through a point in a canonical
   order (ascending chart id, then lexicographic coordinate), so that fiber
   matrices have deterministic indexing;
-* ``wedge`` glues two models at points with singleton fibers away from any
-  branch class, the condition under which the glued projection is again a
+* ``wedge`` glues two models at points with singleton fibers that are not
+  branch points, the condition under which the glued projection is again a
   local homeomorphism;
 * ``build_cover_groupoid`` turns a chart cover of a named base space into
   the model whose fiber over x consists of the copies of x in each covering
   chart, and checks that the charts cover the base;
-* ``approach_sequences`` produces geometric sample sequences walking into a
-  branch class, one per approach direction, for continuity checks;
+* ``approach_sequences`` walks into a branch class along each approach
+  direction the class carries, one geometric sample sequence per direction,
+  for continuity checks;
 * ``sample_base_points`` draws per-chart quasi-uniform grids and always
   includes the distinguished strata (branch points, poles, split points).
 
@@ -59,7 +60,7 @@ class CoverageError(ValueError):
 
 
 class InvalidWedgeError(ValueError):
-    """A wedge point has a non-singleton fiber or sits in a branch class."""
+    """A wedge point has a non-singleton fiber or is a branch point."""
 
 
 class UnknownBranchClassError(ValueError):
@@ -248,10 +249,15 @@ def _reduce_angle(theta: float, period: float) -> float:
 
 @dataclass(frozen=True)
 class BranchClass:
-    """A finite set of mutually non-separated base points, by point name."""
+    """A finite set of mutually non-separated base points, by point name,
+    with the directions into it as (direction name, distance -> sample)
+    pairs."""
 
     name: str
     members: tuple[str, ...]
+    directions: tuple[tuple[str, Callable[[float], PointRef]], ...] = field(
+        default=(), compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -344,12 +350,11 @@ class SpaceModel:
                 return c
         raise UnknownBranchClassError(f"unknown branch class {name!r}")
 
-    def approach_directions(
-        self, class_name: str
-    ) -> list[tuple[str, Callable[[float], PointRef]]]:
-        """(direction name, distance -> sample) pairs."""
-        self.branch_class(class_name)
-        return []
+    def is_branch_point(self, y: PointRef) -> bool:
+        """Whether the normalized point y is a member of a branch class."""
+        return qkey(y) in {
+            qkey(self.named_point(m)) for c in self.branch_classes for m in c.members
+        }
 
     def branch_partner_pairs(self) -> list[tuple[PointRef, PointRef]]:
         """Representative pairs of mutually non-separated base points."""
@@ -405,20 +410,13 @@ def approach_sequences(
         raise ParameterError("need at least two samples per sequence")
     if not (0.0 < eps0 <= 0.25):
         raise ParameterError("eps0 must lie in (0, 0.25]")
-    dirs = model.approach_directions(branch_class)
     distances = tuple(eps0 * 2.0 ** (-i) for i in range(n))
-    out = []
-    for direction, at in dirs:
-        samples = tuple(model.normalize(at(d)) for d in distances)
-        out.append(
-            ApproachSequence(
-                branch_class=branch_class,
-                direction=direction,
-                samples=samples,
-                distances=distances,
-            )
+    return [
+        ApproachSequence(
+            branch_class, direction, tuple(model.normalize(at(d)) for d in distances), distances
         )
-    return out
+        for direction, at in model.branch_class(branch_class).directions
+    ]
 
 
 def _jittered_grid(count: int, lo: float, hi: float, rng: random.Random) -> list[float]:
@@ -454,7 +452,12 @@ class SolenoidAabAb(SpaceModel):
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
-        return (BranchClass("wedge", ("ab", "ba", "aa")),)
+        return (BranchClass("wedge", ("ab", "ba", "aa"), (
+            ("a@0", lambda d: PointRef(0, (d,))),
+            ("a@1", lambda d: PointRef(0, (1.0 - d,))),
+            ("b@0", lambda d: PointRef(0, (2.0 + d,))),
+            ("b@1", lambda d: PointRef(0, (3.0 - d,))),
+        )),)
 
     def named_points(self) -> dict[str, PointRef]:
         return {
@@ -493,15 +496,6 @@ class SolenoidAabAb(SpaceModel):
         pts.extend(self.named_points()[k] for k in ("ab", "aa", "ba"))
         return pts
 
-    def approach_directions(self, class_name):
-        self.branch_class(class_name)
-        return [
-            ("a@0", lambda d: PointRef(0, (d,))),
-            ("a@1", lambda d: PointRef(0, (1.0 - d,))),
-            ("b@0", lambda d: PointRef(0, (2.0 + d,))),
-            ("b@1", lambda d: PointRef(0, (3.0 - d,))),
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Broken heart (three identified open segments; top split into two
@@ -530,7 +524,11 @@ class BrokenHeart(SpaceModel):
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
-        return (BranchClass("top", ("q", "r")),)
+        return (BranchClass("top", ("q", "r"), (
+            ("segment@top", lambda d: PointRef(0, (2.0 - d,))),
+            ("lobe_left", lambda d: PointRef(1, (1.0 - d,))),
+            ("lobe_right", lambda d: PointRef(2, (1.0 - d,))),
+        )),)
 
     def named_points(self) -> dict[str, PointRef]:
         return {
@@ -581,14 +579,6 @@ class BrokenHeart(SpaceModel):
         pts.extend(self.named_points().values())
         return pts
 
-    def approach_directions(self, class_name):
-        self.branch_class(class_name)
-        return [
-            ("segment@top", lambda d: PointRef(0, (2.0 - d,))),
-            ("lobe_left", lambda d: PointRef(1, (1.0 - d,))),
-            ("lobe_right", lambda d: PointRef(2, (1.0 - d,))),
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Twisted sphere (quotient of the sphere by the half-turn off the equator)
@@ -621,7 +611,11 @@ class TwistedSphere(SpaceModel):
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
-        return (BranchClass("equator", ("equator_rep", "equator_partner")),)
+        t0 = self.equator_theta % TWO_PI
+        return (BranchClass("equator", ("equator_rep", "equator_partner"), (
+            ("z+", lambda d: PointRef(0, (t0, d))),
+            ("z-", lambda d: PointRef(0, (t0, -d))),
+        )),)
 
     def named_points(self) -> dict[str, PointRef]:
         t0 = self.equator_theta % TWO_PI
@@ -705,13 +699,9 @@ class TwistedSphere(SpaceModel):
         pts.append(PointRef(0, (t0, -0.5)))
         return pts
 
-    def approach_directions(self, class_name):
-        self.branch_class(class_name)
-        t0 = self.equator_theta % TWO_PI
-        return [
-            ("z+", lambda d: PointRef(0, (t0, d))),
-            ("z-", lambda d: PointRef(0, (t0, -d))),
-        ]
+    def is_branch_point(self, y: PointRef) -> bool:
+        """The whole equator is the branch locus, not only the listed pair."""
+        return y.chart == 0 and y.coord[1] == 0.0
 
     def branch_partner_pairs(self) -> list[tuple[PointRef, PointRef]]:
         pairs = super().branch_partner_pairs()
@@ -760,13 +750,15 @@ class PinchCircle(SpaceModel):
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
-        return tuple(
-            BranchClass(
+        def split_class(idx: int, a: float) -> BranchClass:
+            return BranchClass(
                 f"split:{idx}",
                 tuple(f"split:{idx}:{i}" for i in range(self.sheets)),
+                (("ccw", lambda d: PointRef(0, ((a + d) % 1.0,))),
+                 ("cw", lambda d: PointRef(0, ((a - d) % 1.0,)))),
             )
-            for idx in range(len(self.split_points))
-        )
+
+        return tuple(split_class(idx, a) for idx, a in enumerate(self.split_points))
 
     def named_points(self) -> dict[str, PointRef]:
         out = {}
@@ -800,14 +792,6 @@ class PinchCircle(SpaceModel):
         pts.extend(self.named_points().values())
         return pts
 
-    def approach_directions(self, class_name):
-        self.branch_class(class_name)
-        a = self.split_points[int(class_name.split(":")[1])]
-        return [
-            ("ccw", lambda d: PointRef(0, ((a + d) % 1.0,))),
-            ("cw", lambda d: PointRef(0, ((a - d) % 1.0,))),
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Wedge of two models
@@ -818,9 +802,10 @@ class PinchCircle(SpaceModel):
 class WedgeModel(SpaceModel):
     """Two models glued at one point each.
 
-    Construction checks that both glue points have singleton fibers and lie
-    outside every branch class, the condition under which the glued
-    projection stays a local homeomorphism, and stores them normalized.
+    Construction checks that both glue points have singleton fibers and are
+    not branch points (``is_branch_point``), the condition under which the
+    glued projection stays a local homeomorphism, and stores them
+    normalized.
 
     The right factor's charts are shifted past the left factor's.  The glued
     point is canonically represented by the left factor's wedge point; its
@@ -840,11 +825,8 @@ class WedgeModel(SpaceModel):
             size = resolve_orbit(factor, y).size
             if size != 1:
                 raise InvalidWedgeError(f"wedge point {y!r} has fiber of size {size}, need 1")
-            branch_keys = {
-                qkey(factor.named_point(m)) for c in factor.branch_classes for m in c.members
-            }
-            if qkey(y) in branch_keys:
-                raise InvalidWedgeError(f"wedge point {y!r} lies in a branch class")
+            if factor.is_branch_point(y):
+                raise InvalidWedgeError(f"wedge point {y!r} is a branch point")
             object.__setattr__(self, name, y)
 
     @functools.cached_property  # read on every shift of a right-factor point
@@ -861,16 +843,21 @@ class WedgeModel(SpaceModel):
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
-        out = []
-        for prefix, factor in (("left", self.left), ("right", self.right)):
-            for c in factor.branch_classes:
-                out.append(
-                    BranchClass(
-                        f"{prefix}:{c.name}",
-                        tuple(f"{prefix}:{m}" for m in c.members),
-                    )
-                )
-        return tuple(out)
+        """The factors' classes, with prefixed names and members and with
+        directions that walk in the wedge's charts."""
+
+        def lift(side: str, at: Callable[[float], PointRef]) -> Callable[[float], PointRef]:
+            return lambda d: self.from_factor(side, at(d))
+
+        return tuple(
+            BranchClass(
+                f"{side}:{c.name}",
+                tuple(f"{side}:{m}" for m in c.members),
+                tuple((name, lift(side, at)) for name, at in c.directions),
+            )
+            for side, factor in (("left", self.left), ("right", self.right))
+            for c in factor.branch_classes
+        )
 
     def _shift(self, y: PointRef) -> PointRef:
         return PointRef(y.chart + self.offset, y.coord)
@@ -884,10 +871,9 @@ class WedgeModel(SpaceModel):
 
     def named_points(self) -> dict[str, PointRef]:
         out = {"wedge_point": self.left_point}
-        for name, p in self.left.named_points().items():
-            out[f"left:{name}"] = p
-        for name, p in self.right.named_points().items():
-            out[f"right:{name}"] = self._shift(p)
+        for side, factor in (("left", self.left), ("right", self.right)):
+            for name, p in factor.named_points().items():
+                out[f"{side}:{name}"] = self.from_factor(side, p)
         return out
 
     def normalize(self, y: PointRef) -> PointRef:
@@ -914,25 +900,6 @@ class WedgeModel(SpaceModel):
         pts.extend(self._shift(p) for p in self.right.sample_points(half, seed + 1))
         pts.append(self.left_point)
         return pts
-
-    def approach_directions(self, class_name):
-        prefix, _, local_name = class_name.partition(":")
-        if prefix == "left":
-            return self.left.approach_directions(local_name)
-        if prefix == "right":
-            dirs = self.right.approach_directions(local_name)
-            return [
-                (d, (lambda fn: (lambda dist: self._shift(fn(dist))))(fn)) for d, fn in dirs
-            ]
-        raise UnknownBranchClassError(f"unknown branch class {class_name!r}")
-
-    def branch_partner_pairs(self) -> list[tuple[PointRef, PointRef]]:
-        pairs = list(self.left.branch_partner_pairs())
-        pairs.extend(
-            (self._shift(a), self._shift(b))
-            for a, b in self.right.branch_partner_pairs()
-        )
-        return pairs
 
 
 # Gluing is construction: ``wedge(left, right, left_point, right_point)``.
@@ -987,19 +954,19 @@ class CoverChart:
 
     pieces: tuple[VertexPiece | Span, ...]
 
-    def _offsets(self) -> list[float]:
+    @functools.cached_property  # read on every local_of and base_of call
+    def _offsets(self) -> tuple[float, ...]:
         out = []
         pos = 0.0
         for piece in self.pieces:
             out.append(pos)
             if isinstance(piece, Span):
                 pos += piece.length
-        return out
+        return tuple(out)
 
     def local_of(self, point: tuple) -> float | None:
         """Chart coordinate of a base point, or None if not in the chart."""
-        offsets = self._offsets()
-        for piece, off in zip(self.pieces, offsets):
+        for piece, off in zip(self.pieces, self._offsets):
             if isinstance(piece, VertexPiece):
                 if point == (piece.vertex,):
                     return off
@@ -1011,8 +978,7 @@ class CoverChart:
 
     def base_of(self, s: float) -> tuple:
         """Base point at a chart coordinate."""
-        offsets = self._offsets()
-        for piece, off in zip(self.pieces, offsets):
+        for piece, off in zip(self.pieces, self._offsets):
             if isinstance(piece, VertexPiece):
                 if abs(s - off) <= TOL:
                     return (piece.vertex,)

@@ -403,6 +403,20 @@ class TestVerifyCommand:
         ("verify --tol -1e+16", PROJECTION_FILE),  # taken for an option
         ("verify", None),  # no file
         ("verify", {"model": {"kind": "cover", "base": [], "charts": []}, "element": IDENTITY}),
+        # A wedge glued on the sphere's equator, where every point is a branch point.
+        (
+            "verify",
+            {
+                "model": {
+                    "kind": "wedge",
+                    "left": {"kind": "solenoid_aab_ab"},
+                    "right": {"kind": "twisted_sphere"},
+                    "left_point": {"chart": 0, "coord": [2.5]},
+                    "right_point": {"chart": 0, "coord": [0.5, 0.0]},
+                },
+                "element": IDENTITY,
+            },
+        ),
     ],
 )
 def test_non_object_json_exit_2(tmp_path, capsys, command, payload):

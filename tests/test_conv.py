@@ -129,6 +129,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="duplicate grid value"):
             grid_element(SolenoidAabAb(), values)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_grid_non_finite_matrix_in_code_rejected(self, bad):
+        # A file's entries are checked by the JSON reader; a matrix passed in
+        # code meets only grid_element's own check.
+        values = [(PointRef(0, (2.5,)), np.array([[bad]], dtype=complex))]
+        with pytest.raises(ValueError, match="is not finite"):
+            grid_element(SolenoidAabAb(), values)
+
     def test_builtin_requires_matching_model(self):
         with pytest.raises(IncompatibilityError):
             twisted_sphere_projection(SolenoidAabAb())

@@ -68,6 +68,11 @@ ALL_MODELS = [
 ]
 
 
+def nested_wedge():
+    """A wedge whose left factor is the standard wedge."""
+    return wedge(standard_wedge(), BrokenHeart(), PointRef(2, (0.5,)), PointRef(1, (0.4,)))
+
+
 class TestTwistedSphereOrbits:
     def setup_method(self):
         self.model = TwistedSphere()
@@ -305,6 +310,29 @@ class TestWedge:
         with pytest.raises(InvalidWedgeError):  # q: a branch point
             WedgeModel(SolenoidAabAb(), BrokenHeart(), PointRef(0, (2.5,)), PointRef(1, (1.0,)))
 
+    def test_glue_on_the_sphere_equator_rejected(self):
+        # The whole equator is branch locus: the points at theta and theta + pi
+        # are not separated, though only the pair at equator_theta is listed.
+        for theta in (0.5, 0.3, 0.3 + math.pi, TWO_PI - 1e-12):
+            with pytest.raises(InvalidWedgeError, match="is a branch point"):
+                WedgeModel(
+                    SolenoidAabAb(), TwistedSphere(), PointRef(0, (2.5,)), PointRef(0, (theta, 0.0))
+                )
+        with pytest.raises(InvalidWedgeError, match="is a branch point"):
+            WedgeModel(TwistedSphere(), BrokenHeart(), PointRef(0, (0.5, 1e-12)), PointRef(0, (0.0,)))
+
+    def test_is_branch_point(self):
+        sphere = TwistedSphere()
+        assert sphere.is_branch_point(sphere.normalize(PointRef(0, (2.0, 1e-12))))
+        assert not sphere.is_branch_point(PointRef(0, (2.0, 0.5)))
+        assert not sphere.is_branch_point(PointRef(1, (0.0, 1.0)))  # a pole
+        solenoid = SolenoidAabAb()
+        assert solenoid.is_branch_point(PointRef(0, (1.0,)))  # aa
+        assert not solenoid.is_branch_point(PointRef(0, (2.5,)))
+        model = standard_wedge()
+        assert model.is_branch_point(PointRef(2, (1.0,)))  # right:q
+        assert not model.is_branch_point(PointRef(1, (0.5,)))
+
     def test_glue_points_are_stored_normalized(self):
         model = WedgeModel(
             SolenoidAabAb(), BrokenHeart(), PointRef(0, (5.5,)), PointRef(0, (1e-12,))
@@ -318,9 +346,7 @@ class TestWedge:
         assert names == {"left:wedge", "right:top"}
 
     def test_nested_wedge_composes(self):
-        outer = wedge(
-            standard_wedge(), BrokenHeart(), PointRef(2, (0.5,)), PointRef(1, (0.4,))
-        )
+        outer = nested_wedge()
         assert len(outer.periods) == 7
         glue = resolve_orbit(outer, PointRef(2, (0.5,)))
         assert glue.size == 1
@@ -411,7 +437,85 @@ class TestCoverGroupoid:
             assert resolve_orbit(model, named[v]).size == 1
 
 
+def _solenoid_directions():
+    return [
+        ("a@0", [(0, (0.1,)), (0, (0.05,))]),
+        ("a@1", [(0, (0.9,)), (0, (0.95,))]),
+        ("b@0", [(0, (2.1,)), (0, (2.05,))]),
+        ("b@1", [(0, (2.9,)), (0, (2.95,))]),
+    ]
+
+
+def _heart_directions(chart):
+    """The broken heart's directions with its charts shifted by ``chart``."""
+    return [
+        ("segment@top", [(chart, (1.9,)), (chart, (1.95,))]),
+        ("lobe_left", [(chart + 1, (0.9,)), (chart + 1, (0.95,))]),
+        ("lobe_right", [(chart + 2, (0.9,)), (chart + 2, (0.95,))]),
+    ]
+
+
+# Per model, each branch class in order with its directions in order and the
+# two samples of ``approach_sequences(model, class, 2, 0.1)`` along each.
+DIRECTION_TABLE = [
+    ("solenoid_aab_ab", SolenoidAabAb(), {"wedge": _solenoid_directions()}),
+    ("broken_heart", BrokenHeart(), {"top": _heart_directions(0)}),
+    (
+        "twisted_sphere",
+        TwistedSphere(),
+        {
+            "equator": [
+                ("z+", [(0, (0.3, 0.1)), (0, (0.3, 0.05))]),
+                ("z-", [(0, (0.3, -0.1)), (0, (0.3, -0.05))]),
+            ]
+        },
+    ),
+    (
+        "pinch",
+        PinchCircle(split_points=(0.2, 0.5, 0.8), sheets=2),
+        {
+            "split:0": [
+                ("ccw", [(0, (0.30000000000000004,)), (0, (0.25,))]),
+                ("cw", [(0, (0.1,)), (0, (0.15000000000000002,))]),
+            ],
+            "split:1": [
+                ("ccw", [(0, (0.6,)), (0, (0.55,))]),
+                ("cw", [(0, (0.4,)), (0, (0.45,))]),
+            ],
+            "split:2": [
+                ("ccw", [(0, (0.9,)), (0, (0.8500000000000001,))]),
+                ("cw", [(0, (0.7000000000000001,)), (0, (0.75,))]),
+            ],
+        },
+    ),
+    (
+        "wedge",
+        standard_wedge(),
+        {"left:wedge": _solenoid_directions(), "right:top": _heart_directions(1)},
+    ),
+    (
+        "nested_wedge",
+        nested_wedge(),
+        {
+            "left:left:wedge": _solenoid_directions(),
+            "left:right:top": _heart_directions(1),
+            "right:top": _heart_directions(4),
+        },
+    ),
+    ("cover", aab_ab_figure_cover(), {"wedge": []}),
+]
+
+
 class TestApproachSequences:
+    @pytest.mark.parametrize(
+        "model, expected", [row[1:] for row in DIRECTION_TABLE], ids=[row[0] for row in DIRECTION_TABLE]
+    )
+    def test_every_direction_pinned(self, model, expected):
+        assert [c.name for c in model.branch_classes] == list(expected)
+        for name, directions in expected.items():
+            seqs = approach_sequences(model, name, 2, 0.1)
+            assert [(s.direction, list(s.samples)) for s in seqs] == directions
+
     def test_twisted_sphere_two_directions(self):
         seqs = approach_sequences(TwistedSphere(), "equator", 3, 0.1)
         assert len(seqs) == 2

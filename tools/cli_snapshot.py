@@ -98,6 +98,14 @@ def input_files(where: Path) -> dict[str, str]:
                       "charts": [{"pieces": [{"vertex": "ab", "lo": 0.0}]}]},
             "element": identity,
         },
+        # Glued on the sphere's equator, where every point is a branch point.
+        "wedge-sphere-equator": {
+            "model": {"kind": "wedge", "left": {"kind": "solenoid_aab_ab"},
+                      "right": {"kind": "twisted_sphere"},
+                      "left_point": {"chart": 0, "coord": [2.5]},
+                      "right_point": {"chart": 0, "coord": [0.5, 0.0]}},
+            "element": identity,
+        },
         "wedge-grid": workloads.grid_file(300, False, random.Random(1)).data,
         "wedge-grid-perturbed": workloads.grid_file(300, True, random.Random(2)).data,
         "ktheory-10": workloads.ktheory_system(10, random.Random(3)).data,
@@ -151,6 +159,8 @@ def cases(files: dict[str, str]) -> list[tuple[str, list[str]]]:
     for name in ("cover-identity", "cover-misspelled-piece-key"):
         out.append((f"verify-{name}-json", ["verify", files[name], "--json"]))
     out.append(("verify-wedge-grid-json", ["verify", files["wedge-grid"], "--json"]))
+    out.append(("verify-wedge-sphere-equator-json",
+                ["verify", files["wedge-sphere-equator"], "--samples", "2000", "--json"]))
     out.append(("verify-wedge-grid-perturbed-json",
                 ["verify", files["wedge-grid-perturbed"], "--json"]))
     for name in ("ktheory-10", "ktheory-25", "ktheory-40", "ktheory-splice",
