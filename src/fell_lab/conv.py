@@ -18,6 +18,7 @@ extrapolating geometric approach sequences (iterated Aitken acceleration,
 which is exact for the geometrically decaying entry profiles produced by the
 shipped elements).  Fullness is reported as a numerical witness - the
 minimum over samples of the largest entry magnitude - never as a proof.
+Only a region is checked exactly, against the maps its model declares.
 
 Branch-continuity defects compare the block of the fiber matrix spanned by
 members that converge to lifts of the target class against the element's
@@ -30,6 +31,7 @@ with noncompact total space.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -38,7 +40,10 @@ import numpy as np
 
 from . import spaces
 from .spaces import (
+    AffineMap,
     ApproachSequence,
+    DomainError,
+    Interval,
     Orbit,
     PointRef,
     SpaceModel,
@@ -71,11 +76,6 @@ class InvarianceError(ValueError):
     """A restriction target is not closed and groupoid-invariant."""
 
 
-# ---------------------------------------------------------------------------
-# Fiber matrices and element rules
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True, eq=False)
 class FiberMatrix:
     """A complex square matrix indexed by one fiber's canonical order."""
@@ -105,22 +105,13 @@ class FiberMatrix:
 
 
 @dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-    lo_closed: bool = True
-    hi_closed: bool = True
-
-    def contains(self, x: float) -> bool:
-        lo_ok = x >= self.lo - spaces.TOL if self.lo_closed else x > self.lo
-        hi_ok = x <= self.hi + spaces.TOL if self.hi_closed else x < self.hi
-        return lo_ok and hi_ok
-
-
-@dataclass(frozen=True)
 class RegionPiece:
     chart: int
     box: tuple[Interval, ...]
+
+    def contains(self, y: PointRef) -> bool:
+        return (y.chart == self.chart and len(self.box) == len(y.coord)
+                and all(iv.contains(c) for iv, c in zip(self.box, y.coord)))
 
 
 @dataclass(frozen=True)
@@ -131,12 +122,7 @@ class Region:
     pieces: tuple[RegionPiece, ...] = ()
 
     def contains(self, y: PointRef) -> bool:
-        for piece in self.pieces:
-            if piece.chart != y.chart or len(piece.box) != len(y.coord):
-                continue
-            if all(iv.contains(c) for iv, c in zip(piece.box, y.coord)):
-                return True
-        return False
+        return any(piece.contains(y) for piece in self.pieces)
 
 
 @dataclass(frozen=True)
@@ -334,11 +320,6 @@ def _check_same_model(f: AlgebraElement, g: AlgebraElement) -> None:
         raise IncompatibilityError("elements live over different models")
 
 
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-
 def _sphere_projection_entries(orbit: Orbit, perturb: float) -> np.ndarray:
     z = abs(orbit.members[0].coord[1])
     if orbit.size == 1:
@@ -398,40 +379,57 @@ def convolve(f: AlgebraElement, g: AlgebraElement, x: PointRef) -> FiberMatrix:
     return evaluate(product(f, g), x)
 
 
-# ---------------------------------------------------------------------------
-# Indicator projections
-# ---------------------------------------------------------------------------
-
-
 def indicator_projection(model: SpaceModel, region: Region) -> AlgebraElement:
     """The diagonal indicator of a section over a compact open Hausdorff set.
 
-    The region must avoid every pair of mutually non-separated base points
-    (Hausdorffness proxy) and meet each fiber at most once (section
-    property, checked on a sample set).  The resulting element has diagonal
-    entries in {0, 1} only, so it is idempotent and self-adjoint exactly.
+    The region is checked exactly: for every pair of its boxes A and B (A = B
+    included), m(A ∩ dom m) ∩ B must be empty for each partner map m out of
+    A's chart, else ``NonHausdorffRegionError``, and for each transition m,
+    else ``RegionSectionError``.  The maps reach every lift of a point.  The
+    element's diagonal entries are 0 or 1, so it is an exact projection.
     """
-    for a, b in model.branch_partner_pairs():
-        if region.contains(model.normalize(a)) and region.contains(
-            model.normalize(b)
-        ):
-            raise NonHausdorffRegionError(
-                f"region contains the non-separated pair {a!r}, {b!r}"
-            )
-    probes = spaces.sample_base_points(model, 400, seed=97)
-    for y in probes:
-        orbit = resolve_orbit(model, y)
-        hits = sum(1 for m in orbit.members if region.contains(m))
-        if hits > 1:
-            raise RegionSectionError(
-                f"region meets the fiber over {orbit.base_label!r} {hits} times"
-            )
+    checks = ((model.partners, NonHausdorffRegionError, "two non-separated points"),
+              (model.transitions, RegionSectionError, "two members of one fiber"))
+    for maps_of, error, what in checks:
+        for a in region.pieces:
+            for m in maps_of(a.chart):
+                for b in region.pieces:
+                    y = _meeting(model, m, a, b)
+                    if y is not None:
+                        raise error(f"region holds {what}, {y!r} and {m(y)!r}")
     return AlgebraElement(model, IndicatorRule(region))
 
 
-# ---------------------------------------------------------------------------
-# Verification
-# ---------------------------------------------------------------------------
+def _meeting(model: SpaceModel, m: AffineMap, a: RegionPiece, b: RegionPiece) -> PointRef | None:
+    """A normalized point of a in the domain of m whose image lies in b, if any.
+
+    Per axis, a ∩ dom m ∩ m⁻¹(b) is one interval of floats.  It may hold a
+    TOL band that ``normalize`` snaps onto an open end of the domain, and so
+    no normalized point; such a band lies at an end of the interval.  So the
+    centre, lowest and highest points are normalized, in every combination
+    across axes, and the first that keeps the three memberships is returned.
+    """
+    if b.chart != m.target or not len(a.box) == len(b.box) == len(m.domain):
+        return None
+    axes = []
+    for ia, idom, ib, scale, shift in zip(a.box, m.domain, b.box, m.scale, m.shift):
+        lo, hi = max(ia.bounds[0], idom.bounds[0]), min(ia.bounds[1], idom.bounds[1])
+        if scale:
+            pre = sorted((e - shift) / scale for e in ib.bounds)
+            lo, hi = max(lo, pre[0]), min(hi, pre[1])
+        elif not ib.contains(shift):
+            return None
+        if lo >= hi:
+            return None
+        axes.append(((lo + hi) / 2, lo, math.nextafter(hi, -math.inf)))
+    for coord in itertools.product(*axes):
+        try:
+            y = model.normalize(PointRef(m.source, coord))
+        except DomainError:
+            continue
+        if a.contains(y) and m.covers(y) and b.contains(m(y)):
+            return y
+    return None
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -646,11 +644,6 @@ def _classify_members(
                 if dist <= threshold:
                     out[i] = (name, lift_idx)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Restriction to a closed invariant part
-# ---------------------------------------------------------------------------
 
 
 def restrict(f: AlgebraElement, side: str) -> AlgebraElement:

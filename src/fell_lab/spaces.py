@@ -2,44 +2,37 @@
 locally Hausdorff spaces.
 
 A model describes a total space Y as a finite list of charts (intervals,
-circles, sphere patches), the fibers of the projection down to the base X,
-and the finite classes of base points that cannot be separated by open sets
-(the branch classes).  Everything downstream consumes this surface:
+circles, sphere patches) and declares its fibers as data: per chart, the
+``transitions``, partial affine maps that carry a point to the other
+members of its fiber, and the ``partners``, the same kind of maps between
+base points that no open sets separate (by default, from the listed branch
+classes).  The groupoid R(psi) = {(x, y) : psi(x) = psi(y)} is generated by
+the transitions.  Everything downstream reads this surface:
 
-* ``resolve_orbit`` returns the full fiber through a point in a canonical
-  order (ascending chart id, then lexicographic coordinate), so that fiber
-  matrices have deterministic indexing;
+* ``resolve_orbit`` applies the transitions to a normalized point and
+  returns its fiber in canonical order (ascending chart id, then
+  lexicographic coordinate), so that fiber matrices are indexed
+  deterministically; ``is_branch_point`` asks the partner maps;
 * ``wedge`` glues two models at points with singleton fibers that are not
-  branch points, the condition under which the glued projection is again a
-  local homeomorphism;
-* ``build_cover_groupoid`` turns a chart cover of a named base space into
-  the model whose fiber over x consists of the copies of x in each covering
-  chart, and checks that the charts cover the base;
-* ``approach_sequences`` walks into a branch class along each approach
-  direction the class carries, one geometric sample sequence per direction,
-  for continuity checks;
-* ``sample_base_points`` draws per-chart quasi-uniform grids and always
-  includes the distinguished strata (branch points, poles, split points).
+  branch points, and ``build_cover_groupoid`` turns a chart cover of a
+  named base into the model whose fiber over x is the copies of x;
+* ``approach_sequences`` walks into a branch class along each direction the
+  class carries, and ``sample_base_points`` draws per-chart quasi-uniform
+  grids plus the distinguished strata.
 
 Point identity is float-based.  Coordinates are compared after quantizing
 at 1e-9 (the membership tolerance for angles reduced modulo a period), so
 re-resolving an orbit from any of its members yields an equal orbit even
 though e.g. ``(theta + pi) - pi != theta`` in IEEE arithmetic.  Models are
-immutable and every function here is pure.
-
-Every model is a record whose constructor fields are its file form:
-``read_json`` reads a value of a declared type from JSON, coercing nothing,
-and ``write_json`` writes the JSON value that reads back.  A model checks
-itself when it is constructed, from a file or in code.
-
-Cover models built from generic chart data carry no approach-direction
-information, so they expose branch classes but no approach sequences.
+immutable records whose constructor fields are their file form
+(``read_json`` and ``write_json``); a model checks itself when constructed.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
 import random
 import types
@@ -229,22 +222,61 @@ class PointRef(NamedTuple):
 
 def qkey(p: PointRef) -> tuple:
     """Quantized identity key for a point (1e-9 coordinate resolution)."""
-    return (p.chart, tuple(round(c * _QSCALE) for c in p.coord))
+    return (p.chart, tuple([round(c * _QSCALE) for c in p.coord]))
 
 
-def _snap(x: float, targets: tuple[float, ...], tol: float = TOL) -> float | None:
+@dataclass(frozen=True)
+class Interval:
+    """A set of values of one coordinate; a closed end reaches TOL past its value."""
+
+    lo: float
+    hi: float
+    lo_closed: bool = True
+    hi_closed: bool = True
+
+    def contains(self, x: float) -> bool:
+        lo, hi = self.bounds
+        return lo <= x < hi
+
+    @functools.cached_property
+    def bounds(self) -> tuple[float, float]:
+        """``(lo, hi)`` such that the interval holds exactly the floats of [lo, hi)."""
+        return (self.lo - TOL if self.lo_closed else math.nextafter(self.lo, math.inf),
+                math.nextafter(self.hi + TOL, math.inf) if self.hi_closed else float(self.hi))
+
+
+class AffineMap(NamedTuple):
+    """A partial map between charts: a point of chart ``source`` in the box
+    ``domain`` goes to the point of chart ``target`` at ``scale * c + shift``,
+    axis by axis."""
+
+    source: int
+    domain: tuple[Interval, ...]
+    target: int
+    scale: tuple[float, ...]
+    shift: tuple[float, ...]
+
+    def __call__(self, y: PointRef) -> PointRef:
+        return PointRef(self.target, tuple([s * c + h for s, c, h in zip(self.scale, y.coord, self.shift)]))
+
+    def covers(self, y: PointRef) -> bool:
+        return all(iv.contains(c) for iv, c in zip(self.domain, y.coord))
+
+
+def _snap(x: float, targets: tuple[float, ...]) -> float | None:
+    """The first target that ``Interval(target, target)`` holds x for, if any."""
     for tgt in targets:
-        if abs(x - tgt) <= tol:
+        if tgt - TOL <= x <= tgt + TOL:
             return tgt
     return None
 
 
-def _reduce_angle(theta: float, period: float) -> float:
-    """Reduce to [0, period), collapsing the tolerance band at the seam."""
-    theta = theta % period
-    if theta >= period - TOL or theta <= TOL:
-        return 0.0
-    return theta
+def _wrap(x: float, period: float, marks: tuple[float, ...]) -> float:
+    """x reduced to [0, period), with the TOL band round a mark, or round
+    the period, snapped onto it."""
+    x %= period
+    snapped = _snap(x, marks + (period,))
+    return x if snapped is None else snapped % period
 
 
 @dataclass(frozen=True)
@@ -304,11 +336,6 @@ class ApproachSequence:
             raise ValueError("distances must be strictly decreasing and positive")
 
 
-# ---------------------------------------------------------------------------
-# Model base class
-# ---------------------------------------------------------------------------
-
-
 class SpaceModel:
     """Shared surface of all models; subclasses fill in the geometry."""
 
@@ -328,9 +355,51 @@ class SpaceModel:
         """Validate a point and reduce its coordinates to canonical range."""
         raise NotImplementedError
 
+    def transitions(self, chart: int) -> tuple[AffineMap, ...]:
+        """The maps from ``chart`` onto the other members of a fiber: they
+        reach every other member of the fiber of each normalized point, none
+        is the identity, and no normalized point is in two unequal domains."""
+        return ()
+
+    def partners(self, chart: int) -> tuple[AffineMap, ...]:
+        """The maps out of ``chart`` between mutually non-separated points:
+        by default, from every lift of each member of a branch class to
+        every lift of each other member, as constant maps."""
+        named = self.named_points()
+        out = []
+        for c in self.branch_classes:
+            lifts = [resolve_orbit(self, named[m]).members for m in c.members]
+            for i, j in itertools.permutations(range(len(lifts)), 2):
+                out += [AffineMap(chart, tuple(Interval(x, x) for x in a.coord), b.chart,
+                                  (0.0,) * len(b.coord), b.coord)
+                        for a in lifts[i] if a.chart == chart for b in lifts[j]]
+        return tuple(out)
+
+    @functools.cached_property  # chart -> its transitions by domain, filled on first use
+    def _cases(self) -> dict[int, list]:
+        return {}
+
     def orbit_members(self, y: PointRef) -> list[PointRef]:
-        """Members of the fiber through a normalized point, any order."""
-        raise NotImplementedError
+        """Members of the fiber through a normalized point, any order: y and
+        its images under the transitions whose domain holds it."""
+        cases = self._cases.get(y.chart)
+        if cases is None:  # per domain: its bounds, then each image as (target, *scale, *shift)
+            by_domain: dict[tuple, list] = {}
+            for m in self.transitions(y.chart):
+                by_domain.setdefault(m.domain, []).append((m.target, *m.scale, *m.shift))
+            cases = self._cases[y.chart] = [(sum((iv.bounds for iv in box), ()), images)
+                                            for box, images in by_domain.items()]
+        if len(y.coord) == 1:  # charts have one axis or two; the loops are the hot path
+            (x,) = y.coord
+            for (lo, hi), images in cases:
+                if lo <= x < hi:
+                    return [y] + [PointRef(t, (a * x + b,)) for t, a, b in images]
+            return [y]
+        x0, x1 = y.coord
+        for (l0, h0, l1, h1), images in cases:
+            if l0 <= x0 < h0 and l1 <= x1 < h1:
+                return [y] + [PointRef(t, (a0 * x0 + b0, a1 * x1 + b1)) for t, a0, a1, b0, b1 in images]
+        return [y]
 
     def named_points(self) -> dict[str, PointRef]:
         return {}
@@ -351,20 +420,8 @@ class SpaceModel:
         raise UnknownBranchClassError(f"unknown branch class {name!r}")
 
     def is_branch_point(self, y: PointRef) -> bool:
-        """Whether the normalized point y is a member of a branch class."""
-        return qkey(y) in {
-            qkey(self.named_point(m)) for c in self.branch_classes for m in c.members
-        }
-
-    def branch_partner_pairs(self) -> list[tuple[PointRef, PointRef]]:
-        """Representative pairs of mutually non-separated base points."""
-        pairs = []
-        for c in self.branch_classes:
-            pts = [self.named_point(m) for m in c.members]
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    pairs.append((pts[i], pts[j]))
-        return pairs
+        """Whether the normalized point y lies in the domain of a partner map."""
+        return any(m.covers(y) for m in self.partners(y.chart))
 
     def to_dict(self) -> dict:
         """The form ``model_from_dict`` reads: ``kind`` plus each constructor field."""
@@ -426,12 +483,6 @@ def _jittered_grid(count: int, lo: float, hi: float, rng: random.Random) -> list
     return [lo + (i + 0.5 + 0.35 * (rng.random() - 0.5)) * step for i in range(count)]
 
 
-# ---------------------------------------------------------------------------
-# Two-circle splice model (circle covering a wedge of two circles whose
-# wedge point is split into three non-separated points ab, ba, aa)
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class SolenoidAabAb(SpaceModel):
     """Circle mapping onto two circles joined across a split triple point.
@@ -470,21 +521,12 @@ class SolenoidAabAb(SpaceModel):
     def normalize(self, y: PointRef) -> PointRef:
         if y.chart != 0 or len(y.coord) != 1:
             raise DomainError(f"invalid point {y!r} for {self.kind}")
-        theta = y.coord[0] % 3.0
-        snapped = _snap(theta, self.MARKS + (3.0,))
-        if snapped is not None:
-            theta = snapped % 3.0
-        return PointRef(0, (theta,))
+        return PointRef(0, (_wrap(y.coord[0], 3.0, self.MARKS),))
 
-    def orbit_members(self, y: PointRef) -> list[PointRef]:
-        theta = y.coord[0]
-        if theta in self.MARKS:
-            return [y]
-        if theta < 1.0:
-            return [y, PointRef(0, (theta + 1.0,))]
-        if theta < 2.0:
-            return [PointRef(0, (theta - 1.0,)), y]
-        return [y]
+    def transitions(self, chart: int) -> tuple[AffineMap, ...]:
+        """The two arcs over edge a trade places: theta <-> theta + 1."""
+        return tuple(AffineMap(0, (Interval(lo, lo + 1.0, False, False),), 0, (1.0,), (shift,))
+                     for lo, shift in ((0.0, 1.0), (1.0, -1.0)) if chart == 0)
 
     def sample_points(self, n: int, seed: int = 0) -> list[PointRef]:
         rng = random.Random(seed)
@@ -495,12 +537,6 @@ class SolenoidAabAb(SpaceModel):
             pts.append(PointRef(0, (theta,)))
         pts.extend(self.named_points()[k] for k in ("ab", "aa", "ba"))
         return pts
-
-
-# ---------------------------------------------------------------------------
-# Broken heart (three identified open segments; top split into two
-# non-separated points q, r)
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -556,16 +592,13 @@ class BrokenHeart(SpaceModel):
             return PointRef(y.chart, (c,))
         raise DomainError(f"unknown chart {y.chart} for {self.kind}")
 
-    def orbit_members(self, y: PointRef) -> list[PointRef]:
-        c = y.coord[0]
-        if y.chart == 0:
-            if c == 0.0:
-                return [y]
-            return [y, PointRef(1, (3.0 - c,)), PointRef(2, (3.0 - c,))]
-        if c <= 1.0:
-            return [y]
-        h = 3.0 - c
-        return [PointRef(0, (h,)), PointRef(1, (c,)), PointRef(2, (c,))]
+    def transitions(self, chart: int) -> tuple[AffineMap, ...]:
+        """The identified segment: c <-> 3 - c between the central leg's (0, 2)
+        and each leg's (1, 3), and c <-> c between the two legs."""
+        segment = Interval(0.0, 2.0, False, False) if chart == 0 else Interval(1.0, 3.0, False, False)
+        images = {0: ((1, -1.0, 3.0), (2, -1.0, 3.0)), 1: ((0, -1.0, 3.0), (2, 1.0, 0.0)),
+                  2: ((0, -1.0, 3.0), (1, 1.0, 0.0))}
+        return tuple(AffineMap(chart, (segment,), t, (a,), (b,)) for t, a, b in images.get(chart, ()))
 
     def sample_points(self, n: int, seed: int = 0) -> list[PointRef]:
         rng = random.Random(seed)
@@ -580,9 +613,8 @@ class BrokenHeart(SpaceModel):
         return pts
 
 
-# ---------------------------------------------------------------------------
-# Twisted sphere (quotient of the sphere by the half-turn off the equator)
-# ---------------------------------------------------------------------------
+# The two halves of U's angle, [0, pi) and [pi, 2 pi), which a half-turn swaps.
+_HALF_TURNS = (Interval(0.0, math.pi, True, False), Interval(math.pi, TWO_PI, True, False))
 
 
 @dataclass(frozen=True)
@@ -632,9 +664,7 @@ class TwistedSphere(SpaceModel):
         theta, z = y.coord
         # Collapse the seam bands at 0/2pi and at pi, where the half-turn
         # partner angle would otherwise wrap inconsistently.
-        theta = _reduce_angle(theta, TWO_PI)
-        if abs(theta - math.pi) <= TOL:
-            theta = math.pi
+        theta = _wrap(theta, TWO_PI, (0.0, math.pi))
         if abs(z) <= TOL:
             z = 0.0
         if y.chart == 0:
@@ -642,7 +672,7 @@ class TwistedSphere(SpaceModel):
                 raise DomainError("poles are not in the twice-covering patch")
             return PointRef(0, (theta, z))
         if y.chart in (1, 2):
-            if abs(abs(z) - 1.0) <= TOL:
+            if _snap(abs(z), (1.0,)):
                 return PointRef(y.chart, (0.0, math.copysign(1.0, z)))
             if z == 0.0 or not (-1.0 < z < 1.0):
                 raise DomainError(
@@ -651,22 +681,28 @@ class TwistedSphere(SpaceModel):
             return PointRef(y.chart, (theta, z))
         raise DomainError(f"unknown chart {y.chart} for {self.kind}")
 
-    def orbit_members(self, y: PointRef) -> list[PointRef]:
-        theta, z = y.coord
-        if y.chart == 0:
-            if z == 0.0:
-                return [y]
-            half = theta if theta < math.pi else theta - math.pi
-        else:
-            if abs(z) == 1.0:
-                return [PointRef(1, (0.0, z)), PointRef(2, (0.0, z))]
-            half = theta / 2.0
-        return [
-            PointRef(0, (half, z)),
-            PointRef(0, (half + math.pi, z)),
-            PointRef(1, (2.0 * half, z)),
-            PointRef(2, (2.0 * half, z)),
-        ]
+    def transitions(self, chart: int) -> tuple[AffineMap, ...]:
+        """Off the equator, (theta, z) on U is (theta +- pi, z) on U and
+        (2 theta, z) on V1 and V2; the poles of V1 and V2 are each other."""
+        sides = (Interval(-1.0, 0.0, False, False), Interval(0.0, 1.0, False, False))
+        if chart == 0:  # on the i-th half turn: 2 theta is taken modulo 2 pi
+            return tuple(AffineMap(0, (half, z), t, (scale, 1.0), (shift, 0.0))
+                         for i, half in enumerate(_HALF_TURNS) for z in sides for t, scale, shift
+                         in ((0, 1.0, math.pi - i * TWO_PI), (1, 2.0, -i * TWO_PI), (2, 2.0, -i * TWO_PI)))
+        if chart not in (1, 2):
+            return ()
+        images = ((0, 0.5, 0.0), (0, 0.5, math.pi), (3 - chart, 1.0, 0.0))
+        return tuple(AffineMap(chart, (Interval(0.0, TWO_PI, True, False), z), t, (scale, 1.0),
+                               (shift, 0.0)) for z in sides for t, scale, shift in images) + tuple(
+            AffineMap(chart, (Interval(0.0, 0.0), Interval(z, z)), 3 - chart, (1.0, 1.0), (0.0, 0.0))
+            for z in (-1.0, 1.0))
+
+    def partners(self, chart: int) -> tuple[AffineMap, ...]:
+        """The whole equator is the branch locus, not only the listed pair:
+        (theta, 0) and (theta +- pi, 0) on U are not separated."""
+        return super().partners(chart) + tuple(
+            AffineMap(0, (half, Interval(0.0, 0.0)), 0, (1.0, 1.0), (math.pi - i * TWO_PI, 0.0))
+            for i, half in enumerate(_HALF_TURNS) if chart == 0)
 
     def sample_points(self, n: int, seed: int = 0) -> list[PointRef]:
         rng = random.Random(seed)
@@ -698,24 +734,6 @@ class TwistedSphere(SpaceModel):
         pts.append(PointRef(0, (t0, 0.5)))
         pts.append(PointRef(0, (t0, -0.5)))
         return pts
-
-    def is_branch_point(self, y: PointRef) -> bool:
-        """The whole equator is the branch locus, not only the listed pair."""
-        return y.chart == 0 and y.coord[1] == 0.0
-
-    def branch_partner_pairs(self) -> list[tuple[PointRef, PointRef]]:
-        pairs = super().branch_partner_pairs()
-        for i in range(48):
-            theta = i * math.pi / 48.0
-            pairs.append(
-                (PointRef(0, (theta, 0.0)), PointRef(0, (theta + math.pi, 0.0)))
-            )
-        return pairs
-
-
-# ---------------------------------------------------------------------------
-# Pinch model (k-sheeted circle cover with a finite split set)
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -761,26 +779,22 @@ class PinchCircle(SpaceModel):
         return tuple(split_class(idx, a) for idx, a in enumerate(self.split_points))
 
     def named_points(self) -> dict[str, PointRef]:
-        out = {}
-        for idx, a in enumerate(self.split_points):
-            for i in range(self.sheets):
-                out[f"split:{idx}:{i}"] = PointRef(i, (a,))
-        return out
+        return {f"split:{idx}:{i}": PointRef(i, (a,))
+                for idx, a in enumerate(self.split_points) for i in range(self.sheets)}
 
     def normalize(self, y: PointRef) -> PointRef:
         if not (0 <= y.chart < self.sheets) or len(y.coord) != 1:
             raise DomainError(f"invalid point {y!r} for {self.kind}")
-        t = y.coord[0] % 1.0
-        snapped = _snap(t, self.split_points + (1.0,))
-        if snapped is not None:
-            t = snapped % 1.0
-        return PointRef(y.chart, (t,))
+        return PointRef(y.chart, (_wrap(y.coord[0], 1.0, self.split_points),))
 
-    def orbit_members(self, y: PointRef) -> list[PointRef]:
-        t = y.coord[0]
-        if t in self.split_points:
-            return [y]
-        return [PointRef(i, (t,)) for i in range(self.sheets)]
+    def transitions(self, chart: int) -> tuple[AffineMap, ...]:
+        """Off the split points, t on one sheet is t on every other: per
+        source sheet, one map per arc and other sheet, so a sheet's maps are
+        built when a point of it is first resolved."""
+        ends = (0.0,) + self.split_points + (1.0,)  # an arc is closed at 0 unless 0 is split
+        arcs = [Interval(a, b, a not in self.split_points, False) for a, b in zip(ends, ends[1:]) if a < b]
+        return tuple(AffineMap(chart, (arc,), sheet, (1.0,), (0.0,)) for arc in arcs
+                     for sheet in range(self.sheets) if sheet != chart and 0 <= chart < self.sheets)
 
     def sample_points(self, n: int, seed: int = 0) -> list[PointRef]:
         rng = random.Random(seed)
@@ -791,11 +805,6 @@ class PinchCircle(SpaceModel):
             pts.append(PointRef(0, (t,)))
         pts.extend(self.named_points().values())
         return pts
-
-
-# ---------------------------------------------------------------------------
-# Wedge of two models
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -833,10 +842,6 @@ class WedgeModel(SpaceModel):
     def offset(self) -> int:
         return len(self.left.periods)
 
-    @functools.cached_property  # read on every orbit through either factor
-    def glue_keys(self) -> tuple[tuple, tuple]:
-        return qkey(self.left_point), qkey(self.right_point)
-
     @property
     def periods(self) -> tuple[float | None, ...]:
         return self.left.periods + self.right.periods
@@ -859,15 +864,9 @@ class WedgeModel(SpaceModel):
             for c in factor.branch_classes
         )
 
-    def _shift(self, y: PointRef) -> PointRef:
-        return PointRef(y.chart + self.offset, y.coord)
-
-    def _unshift(self, y: PointRef) -> PointRef:
-        return PointRef(y.chart - self.offset, y.coord)
-
     def from_factor(self, side: str, y: PointRef) -> PointRef:
         """The wedge's point for the point y of its ``side`` factor ("left" or "right")."""
-        return self._shift(y) if side == "right" else y
+        return PointRef(y.chart + self.offset, y.coord) if side == "right" else y
 
     def named_points(self) -> dict[str, PointRef]:
         out = {"wedge_point": self.left_point}
@@ -877,38 +876,41 @@ class WedgeModel(SpaceModel):
         return out
 
     def normalize(self, y: PointRef) -> PointRef:
+        """A factor's normalized point; either glue point is the glued point
+        ``left_point``."""
         if y.chart < 0:
             raise DomainError(f"invalid chart {y.chart}")
         if y.chart < self.offset:
-            return self.left.normalize(y)
-        return self._shift(self.right.normalize(self._unshift(y)))
+            side, local, glue = "left", self.left.normalize(y), self.left_point
+        else:
+            local = self.right.normalize(PointRef(y.chart - self.offset, y.coord))
+            side, glue = "right", self.right_point
+        return self.left_point if qkey(local) == qkey(glue) else self.from_factor(side, local)
 
-    def orbit_members(self, y: PointRef) -> list[PointRef]:
-        if y.chart < self.offset:
-            local = self.left.orbit_members(y)
-            if self.glue_keys[0] in [qkey(m) for m in local]:
-                return [self.left_point]
-            return local
-        local = self.right.orbit_members(self._unshift(y))
-        if self.glue_keys[1] in [qkey(m) for m in local]:
-            return [self.left_point]
-        return [self._shift(m) for m in local]
+    def transitions(self, chart: int) -> tuple[AffineMap, ...]:
+        return self._factor_maps("transitions", chart)
+
+    def partners(self, chart: int) -> tuple[AffineMap, ...]:
+        return self._factor_maps("partners", chart)
+
+    def _factor_maps(self, maps: str, chart: int) -> tuple[AffineMap, ...]:
+        """A factor's maps of one kind, with the right factor's charts shifted."""
+        if chart < self.offset:
+            return getattr(self.left, maps)(chart)
+        k = self.offset
+        return tuple(m._replace(source=m.source + k, target=m.target + k)
+                     for m in getattr(self.right, maps)(chart - k))
 
     def sample_points(self, n: int, seed: int = 0) -> list[PointRef]:
         half = max(n // 2, 2)
         pts = list(self.left.sample_points(half, seed))
-        pts.extend(self._shift(p) for p in self.right.sample_points(half, seed + 1))
+        pts.extend(self.from_factor("right", p) for p in self.right.sample_points(half, seed + 1))
         pts.append(self.left_point)
         return pts
 
 
 # Gluing is construction: ``wedge(left, right, left_point, right_point)``.
 wedge = WedgeModel
-
-
-# ---------------------------------------------------------------------------
-# Cover models (disjoint union of charts over a described base space)
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -954,7 +956,7 @@ class CoverChart:
 
     pieces: tuple[VertexPiece | Span, ...]
 
-    @functools.cached_property  # read on every local_of and base_of call
+    @functools.cached_property  # read on every locate and base_of call
     def _offsets(self) -> tuple[float, ...]:
         out = []
         pos = 0.0
@@ -964,16 +966,17 @@ class CoverChart:
                 pos += piece.length
         return tuple(out)
 
-    def local_of(self, point: tuple) -> float | None:
-        """Chart coordinate of a base point, or None if not in the chart."""
+    def locate(self, point: tuple) -> tuple[float, float] | None:
+        """Chart coordinate of a base point and the rate at which it moves
+        with the stratum's coordinate (0 at a vertex), or None if the point
+        is not in the chart."""
         for piece, off in zip(self.pieces, self._offsets):
             if isinstance(piece, VertexPiece):
                 if point == (piece.vertex,):
-                    return off
-            else:
-                if len(point) == 2 and point[0] == piece.stratum and piece.contains(point[1]):
-                    t = point[1]
-                    return off + ((piece.hi - t) if piece.reverse else (t - piece.lo))
+                    return off, 0.0
+            elif len(point) == 2 and point[0] == piece.stratum and piece.contains(point[1]):
+                t = point[1]
+                return (off + (piece.hi - t), -1.0) if piece.reverse else (off + (t - piece.lo), 1.0)
         return None
 
     def base_of(self, s: float) -> tuple:
@@ -1048,7 +1051,7 @@ class CoverModel(SpaceModel):
             raise ParameterError(f"unknown base space {self.base!r}")
         object.__setattr__(self, "charts", tuple(self.charts))
         for x in self.base_space.grid(COVER_CHECK_GRID):
-            if all(cc.local_of(x) is None for cc in self.charts):
+            if self._lift(x) is None:
                 raise CoverageError(f"base point {x!r} is not covered by any chart")
 
     @property
@@ -1063,15 +1066,13 @@ class CoverModel(SpaceModel):
     def branch_classes(self) -> tuple[BranchClass, ...]:
         return self.base_space.branch
 
+    def _lift(self, x: tuple) -> PointRef | None:
+        """The copy of the base point x in the first chart that holds it, if any."""
+        return next((PointRef(j, found[:1]) for j, cc in enumerate(self.charts)
+                     if (found := cc.locate(x))), None)
+
     def named_points(self) -> dict[str, PointRef]:
-        out = {}
-        for v in self.base_space.vertices:
-            for j, cc in enumerate(self.charts):
-                s = cc.local_of((v,))
-                if s is not None:
-                    out[v] = PointRef(j, (s,))
-                    break
-        return out
+        return {v: self._lift((v,)) for v in self.base_space.vertices}
 
     def normalize(self, y: PointRef) -> PointRef:
         if not (0 <= y.chart < len(self.charts)) or len(y.coord) != 1:
@@ -1079,25 +1080,36 @@ class CoverModel(SpaceModel):
         self.charts[y.chart].base_of(y.coord[0])  # raises if outside
         return y
 
-    def orbit_members(self, y: PointRef) -> list[PointRef]:
-        x = self.charts[y.chart].base_of(y.coord[0])
-        members = []
-        for j, cc in enumerate(self.charts):
-            s = cc.local_of(x)
-            if s is not None:
-                members.append(PointRef(j, (s,)))
-        return members
+    def transitions(self, chart: int) -> tuple[AffineMap, ...]:
+        return tuple(self._transitions.get(chart, ()))
+
+    @functools.cached_property  # derived once, when the first orbit is resolved
+    def _transitions(self) -> dict[int, list[AffineMap]]:
+        """Per chart, the maps s -> +-s + shift between two copies of a cell:
+        a vertex (constant maps), a span end, or an open run between two
+        consecutive span ends of a stratum."""
+        cells = [((v,), None) for v in self.base_space.vertices]
+        for name, *_ in self.base_space.strata:
+            ends = sorted({e for cc in self.charts for p in cc.pieces
+                           if getattr(p, "stratum", None) == name for e in (p.lo, p.hi)})
+            cells += [((name, e), None) for e in ends]
+            cells += [((name, (a + b) / 2), (a, b)) for a, b in zip(ends, ends[1:])]
+        out: dict[int, list[AffineMap]] = {}
+        for x, run in cells:
+            copies = [(j, found) for j, cc in enumerate(self.charts) if (found := cc.locate(x))]
+            for (j, (s, rate)), (k, (sk, rate_k)) in itertools.permutations(copies, 2):
+                domain = Interval(s, s)
+                if run:  # its ends as chart j has them where they are its points
+                    lo, hi = sorted((self.charts[j].locate((x[0], e)) or (s + rate * (e - x[1]),))[0]
+                                    for e in run)
+                    domain = Interval(lo + TOL, hi - TOL, False, False)
+                scale = rate * rate_k
+                out.setdefault(j, []).append(AffineMap(j, (domain,), k, (scale,), (sk - scale * s,)))
+        return out
 
     def sample_points(self, n: int, seed: int = 0) -> list[PointRef]:
         per = max(n // max(len(self.base_space.strata), 1), 8)
-        pts = []
-        for x in self.base_space.grid(per):
-            for j, cc in enumerate(self.charts):
-                s = cc.local_of(x)
-                if s is not None:
-                    pts.append(PointRef(j, (s,)))
-                    break
-        return pts
+        return [y for y in map(self._lift, self.base_space.grid(per)) if y is not None]
 
 
 # A chart cover is construction: ``build_cover_groupoid(base, charts)``.
@@ -1119,11 +1131,6 @@ def aab_ab_figure_cover() -> CoverModel:
     a_mid = CoverChart(pieces=(Span("a", 0.1, 0.9),))
     b_mid = CoverChart(pieces=(Span("b", 0.1, 0.9),))
     return CoverModel("aab_ab", (n_ab, n_ba, n_aa, a_mid, b_mid))
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
 
 
 _MODEL_CLASSES = {

@@ -1,0 +1,129 @@
+"""Reference fibers, written out by hand per model, for the tests.
+
+``fell_lab.spaces`` resolves every fiber with one function over the maps a
+model declares (``SpaceModel.transitions``).  Below are the fibers written
+out case by case for each model instead, as the models once computed them;
+the tests check that both give the same orbits.  ``reference_members``
+takes a point that the model has normalized.
+"""
+
+from __future__ import annotations
+
+import math
+
+from fell_lab.spaces import (
+    BrokenHeart,
+    CoverChart,
+    CoverModel,
+    Orbit,
+    PinchCircle,
+    PointRef,
+    SolenoidAabAb,
+    Span,
+    TwistedSphere,
+    VertexPiece,
+    WedgeModel,
+    aab_ab_figure_cover,
+    qkey,
+)
+
+
+def two_vertex_cover() -> CoverModel:
+    """The figure cover plus a sixth chart through ab: the vertex ab then
+    has two lifts, in chart 0 at 0.5 and in chart 5 at 0.4."""
+    through_ab = CoverChart((Span("b", 0.6, 1.0), VertexPiece("ab"), Span("a", 0.0, 0.4)))
+    return CoverModel("aab_ab", aab_ab_figure_cover().charts + (through_ab,))
+
+
+def reference_orbit(model, y: PointRef) -> Orbit:
+    """The fiber through y in canonical order, from ``reference_members``."""
+    keyed = sorted((qkey(m), m) for m in reference_members(model, model.normalize(y)))
+    return Orbit(tuple(m for _, m in keyed), tuple(k for k, _ in keyed))
+
+
+def reference_members(model, y: PointRef) -> list[PointRef]:
+    """Members of the fiber through a normalized point, any order."""
+    return _MEMBERS[type(model)](model, y)
+
+
+def _solenoid(model: SolenoidAabAb, y: PointRef) -> list[PointRef]:
+    theta = y.coord[0]
+    if theta in model.MARKS:
+        return [y]
+    if theta < 1.0:
+        return [y, PointRef(0, (theta + 1.0,))]
+    if theta < 2.0:
+        return [PointRef(0, (theta - 1.0,)), y]
+    return [y]
+
+
+def _broken_heart(model: BrokenHeart, y: PointRef) -> list[PointRef]:
+    c = y.coord[0]
+    if y.chart == 0:
+        if c == 0.0:
+            return [y]
+        return [y, PointRef(1, (3.0 - c,)), PointRef(2, (3.0 - c,))]
+    if c <= 1.0:
+        return [y]
+    h = 3.0 - c
+    return [PointRef(0, (h,)), PointRef(1, (c,)), PointRef(2, (c,))]
+
+
+def _twisted_sphere(model: TwistedSphere, y: PointRef) -> list[PointRef]:
+    theta, z = y.coord
+    if y.chart == 0:
+        if z == 0.0:
+            return [y]
+        half = theta if theta < math.pi else theta - math.pi
+    else:
+        if abs(z) == 1.0:
+            return [PointRef(1, (0.0, z)), PointRef(2, (0.0, z))]
+        half = theta / 2.0
+    return [
+        PointRef(0, (half, z)),
+        PointRef(0, (half + math.pi, z)),
+        PointRef(1, (2.0 * half, z)),
+        PointRef(2, (2.0 * half, z)),
+    ]
+
+
+def _pinch(model: PinchCircle, y: PointRef) -> list[PointRef]:
+    t = y.coord[0]
+    if t in model.split_points:
+        return [y]
+    return [PointRef(i, (t,)) for i in range(model.sheets)]
+
+
+def _wedge(model: WedgeModel, y: PointRef) -> list[PointRef]:
+    # The factors' fibers; one through either glue point is the glued point.
+    glue = qkey(model.left_point), qkey(model.right_point)
+    if y.chart < model.offset:
+        local = reference_members(model.left, y)
+        if glue[0] in [qkey(m) for m in local]:
+            return [model.left_point]
+        return local
+    local = reference_members(model.right, PointRef(y.chart - model.offset, y.coord))
+    if glue[1] in [qkey(m) for m in local]:
+        return [model.left_point]
+    return [PointRef(m.chart + model.offset, m.coord) for m in local]
+
+
+def _cover(model: CoverModel, y: PointRef) -> list[PointRef]:
+    # Down to the base point, then up into every chart that holds it.
+    x = model.charts[y.chart].base_of(y.coord[0])
+    members = []
+    for j, cc in enumerate(model.charts):
+        found = cc.locate(x)
+        if found is not None:
+            members.append(PointRef(j, found[:1]))
+    return members
+
+
+_MEMBERS = {
+    SolenoidAabAb: _solenoid,
+    BrokenHeart: _broken_heart,
+    TwistedSphere: _twisted_sphere,
+    PinchCircle: _pinch,
+    WedgeModel: _wedge,
+    CoverModel: _cover,
+}

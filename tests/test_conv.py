@@ -36,6 +36,7 @@ from fell_lab.conv import (
     verify_projection,
     zero_element,
 )
+from orbit_reference import two_vertex_cover
 from fell_lab.spaces import (
     BrokenHeart,
     ParameterError,
@@ -45,6 +46,7 @@ from fell_lab.spaces import (
     SolenoidAabAb,
     Span,
     TwistedSphere,
+    aab_ab_figure_cover,
     approach_sequences,
     build_cover_groupoid,
     resolve_orbit,
@@ -67,6 +69,13 @@ def standard_wedge():
 A_CIRCLE_REGION = Region(
     (RegionPiece(chart=0, box=(Interval(1.0, 2.0, True, False),)),)
 )
+
+
+def boxes(chart, *bounds):
+    """A region of closed boxes on one chart, each given by its (lo, hi) per axis."""
+    return Region(tuple(
+        RegionPiece(chart, tuple(Interval(lo, hi) for lo, hi in zip(b[::2], b[1::2]))) for b in bounds
+    ))
 
 
 def random_grid_element(model, rng, n_points=8, seed_points=5):
@@ -246,6 +255,32 @@ class TestIndicatorProjection:
         with pytest.raises(NonHausdorffRegionError):
             indicator_projection(model, band)
 
+    # Regions that a check on listed pairs and sampled probe points passed.
+    @pytest.mark.parametrize("model, region, error", [
+        pytest.param(  # equator points theta and theta + pi, off the listed pair
+            TwistedSphere(), boxes(0, (0.01, 0.03, -0.005, 0.005),
+                                   (math.pi + 0.01, math.pi + 0.03, -0.005, 0.005)),
+            NonHausdorffRegionError, id="sphere-equator-boxes"),
+        pytest.param(  # theta and theta + 1 over an arc narrower than the probe spacing
+            SolenoidAabAb(), boxes(0, (0.1, 0.1005), (1.1, 1.1005)),
+            RegionSectionError, id="solenoid-thin-boxes"),
+        pytest.param(  # the second lift of ab, in chart 5, with ba in chart 1
+            two_vertex_cover(),
+            Region((RegionPiece(5, (Interval(0.4, 0.4),)), RegionPiece(1, (Interval(0.5, 0.5),)))),
+            NonHausdorffRegionError, id="cover-second-lift-of-ab"),
+    ])
+    def test_region_rejected_exactly(self, model, region, error):
+        with pytest.raises(error):
+            indicator_projection(model, region)
+
+    # [1, 2) on the splice circle: its closed end reaches 1 - TOL, inside the
+    # open domain (0, 1) of theta -> theta + 1, but normalize snaps that band
+    # onto the mark 1, so no normalized point of the region has two lifts in it.
+    @pytest.mark.parametrize("model", [SolenoidAabAb(), standard_wedge()], ids=lambda m: m.kind)
+    def test_a_circle_region_accepted(self, model):
+        ind = indicator_projection(model, A_CIRCLE_REGION)
+        assert verify_projection(ind, sample_base_points(model, 300)).passes(0.0)
+
 
 class TestVerifyProjection:
     def test_sphere_projection_passes_at_scale(self):
@@ -343,6 +378,17 @@ class TestBatchedVerification:
         model = make_model()
         ind = indicator_projection(model, A_CIRCLE_REGION)
         assert_matches_reference(ind, sample_base_points(model, 800, seed=3))
+
+    def test_cover_goes_down_to_the_base_once_per_sample(self, monkeypatch):
+        # normalize checks a cover point against its chart, and the orbit then
+        # follows the cover's transitions without going down to the base again.
+        model = aab_ab_figure_cover()
+        samples = sample_base_points(model, 2000)
+        calls = []
+        base_of = CoverChart.base_of
+        monkeypatch.setattr(CoverChart, "base_of", lambda cc, s: calls.append(s) or base_of(cc, s))
+        assert verify_projection(identity_element(model), samples).passes(0.0)
+        assert len(calls) == len(samples)
 
     def test_chunk_edges(self):
         # Buckets one short of a chunk, exactly one, one over, and two plus one.

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -7,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fell_lab.spaces
+from fell_lab.conv import RegionPiece, _meeting
+from orbit_reference import reference_orbit, two_vertex_cover
 from fell_lab.spaces import (
+    AffineMap,
     BrokenHeart,
     CoverChart,
     CoverModel,
@@ -71,6 +75,87 @@ ALL_MODELS = [
 def nested_wedge():
     """A wedge whose left factor is the standard wedge."""
     return wedge(standard_wedge(), BrokenHeart(), PointRef(2, (0.5,)), PointRef(1, (0.4,)))
+
+
+ORACLE_MODELS = ALL_MODELS + [
+    nested_wedge(), aab_ab_figure_cover(), two_vertex_cover(), PinchCircle((), 3)
+]
+
+
+def oracle_points(model, seed, eps0):
+    """Sampled points, named points and approach-sequence points of a model."""
+    points = sample_base_points(model, 120, seed=seed) + list(model.named_points().values())
+    for c in model.branch_classes:
+        if c.directions:
+            points += [y for seq in approach_sequences(model, c.name, 6, eps0) for y in seq.samples]
+    return points
+
+
+def assert_matches_reference(model, y):
+    got, want = resolve_orbit(model, y), reference_orbit(model, y)
+    assert got.keys == want.keys, y
+    if isinstance(model, CoverModel):  # a cover's maps compose two affine maps into one
+        for a, b in zip(got.members, want.members):
+            assert a.chart == b.chart and a.coord == pytest.approx(b.coord, abs=1e-12), y
+    else:
+        assert got.members == want.members, y
+
+
+class TestOrbitOracle:
+    """The fibers resolved from the declared maps against the hand-written
+    fibers of ``orbit_reference``: equal keys, and equal member coordinates
+    (bit for bit, except on covers)."""
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: m.kind)
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**16), eps0=st.floats(1e-6, 0.25))
+    def test_sampled_named_and_approach_points(self, model, seed, eps0):
+        for y in oracle_points(model, seed, eps0):
+            assert_matches_reference(model, y)
+
+    @pytest.mark.parametrize(
+        "model", [m for m in ORACLE_MODELS if not isinstance(m, CoverModel)], ids=lambda m: m.kind
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_points_near_seams(self, model, data):
+        # A named or sampled point moved by up to a few TOL, or by up to 0.5:
+        # the moved point lands in the snap bands round marks and seams.
+        points = oracle_points(model, 0, 0.01)
+        y = data.draw(st.sampled_from(points))
+        step = st.floats(-5e-9, 5e-9) | st.floats(-0.5, 0.5)
+        moved = PointRef(y.chart, tuple(c + data.draw(step) for c in y.coord))
+        try:
+            model.normalize(moved)
+        except DomainError:
+            return
+        assert_matches_reference(model, moved)
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: m.kind)
+    def test_no_normalized_point_is_in_two_domains(self, model):
+        # The resolver takes the first domain out of a chart that holds a
+        # point.  Two domains may share a snap band, which holds no
+        # normalized point; the region check finds one if there is any.
+        for chart in range(len(model.periods)):
+            domains = {m.domain for m in model.transitions(chart)}
+            for a, b in itertools.combinations(domains, 2):
+                same = AffineMap(chart, b, chart, (1.0,) * len(b), (0.0,) * len(b))
+                piece = RegionPiece(chart, a)
+                assert _meeting(model, same, piece, piece) is None, (chart, a, b)
+
+    def test_pinch_maps_are_built_per_sheet(self, monkeypatch):
+        # m split points and k sheets: (m + 1)(k - 1) maps out of a sheet, and
+        # only the sheets that points are resolved on are ever built.
+        model = PinchCircle(tuple(i / 400 for i in range(400)), 50)
+        assert len(model.transitions(7)) == 400 * 49  # 0 is a split point: 400 arcs
+        asked = []
+        declared = PinchCircle.transitions
+        monkeypatch.setattr(PinchCircle, "transitions",
+                            lambda self, chart: asked.append(chart) or declared(self, chart))
+        assert resolve_orbit(model, PointRef(3, (0.3001,))).size == 50
+        assert resolve_orbit(model, PointRef(3, (0.25,))).size == 1  # a split point
+        assert resolve_orbit(model, PointRef(3, (0.9999,))).size == 50
+        assert asked == [3]
 
 
 class TestTwistedSphereOrbits:
@@ -332,6 +417,11 @@ class TestWedge:
         model = standard_wedge()
         assert model.is_branch_point(PointRef(2, (1.0,)))  # right:q
         assert not model.is_branch_point(PointRef(1, (0.5,)))
+        cover = two_vertex_cover()  # every lift of a branch point, not only the named one
+        assert cover.is_branch_point(PointRef(5, (0.4,))) and cover.is_branch_point(PointRef(0, (0.5,)))
+        assert not cover.is_branch_point(PointRef(5, (0.3,)))
+        pinch = PinchCircle((0.25,), 3)
+        assert all(pinch.is_branch_point(PointRef(i, (0.25,))) for i in range(3))
 
     def test_glue_points_are_stored_normalized(self):
         model = WedgeModel(
@@ -419,18 +509,18 @@ class TestCoverGroupoid:
         base_points += [("ab",), ("ba",), ("aa",)]
         for x in base_points:
             lifts = [
-                PointRef(j, (cc.local_of(x),))
+                PointRef(j, found[:1])
                 for j, cc in enumerate(model.charts)
-                if cc.local_of(x) is not None
+                if (found := cc.locate(x))
             ]
             assert lifts, x
             assert resolve_orbit(model, lifts[0]).size == memberships(x), x
 
     def test_figure_cover_expected_sizes(self):
         model = aab_ab_figure_cover()
-        a_quarter = model.charts[3].local_of(("a", 0.25))
+        a_quarter = model.charts[3].locate(("a", 0.25))[0]
         assert resolve_orbit(model, PointRef(3, (a_quarter,))).size == 3
-        a_half = model.charts[3].local_of(("a", 0.5))
+        a_half = model.charts[3].locate(("a", 0.5))[0]
         assert resolve_orbit(model, PointRef(3, (a_half,))).size == 1
         named = model.named_points()
         for v in ("ab", "ba", "aa"):

@@ -49,6 +49,15 @@ def input_files(where: Path) -> dict[str, str]:
         {"pieces": [span("b", 0.1, 0.9)]},
     ]}
     identity = {"rule": "builtin", "name": "identity"}
+
+    def indicator(chart_boxes):
+        """An indicator element whose region has one closed box per (chart, bounds)."""
+        return {"rule": "indicator", "region": {"pieces": [
+            {"chart": chart, "box": [{"lo": lo, "hi": hi} for lo, hi in zip(b[::2], b[1::2])]}
+            for chart, b in chart_boxes
+        ]}}
+
+    pi = 3.141592653589793
     files = {
         "sphere-perturbed": {
             "model": {"kind": "twisted_sphere"},
@@ -105,6 +114,23 @@ def input_files(where: Path) -> dict[str, str]:
                       "left_point": {"chart": 0, "coord": [2.5]},
                       "right_point": {"chart": 0, "coord": [0.5, 0.0]}},
             "element": identity,
+        },
+        # Regions that the model's declared maps reject: two equator points
+        # that are not separated, two lifts of one fiber over a thin arc, and
+        # the second lift of the branch point ab with ba.
+        "sphere-equator-boxes": {
+            "model": {"kind": "twisted_sphere"},
+            "element": indicator([(0, (0.01, 0.03, -0.005, 0.005)),
+                                  (0, (pi + 0.01, pi + 0.03, -0.005, 0.005))]),
+        },
+        "solenoid-thin-boxes": {
+            "model": {"kind": "solenoid_aab_ab"},
+            "element": indicator([(0, (0.1, 0.1005)), (0, (1.1, 1.1005))]),
+        },
+        "cover-second-lift-of-ab": {
+            "model": dict(figure_cover, charts=figure_cover["charts"] + [
+                {"pieces": [span("b", 0.6, 1.0), {"vertex": "ab"}, span("a", 0.0, 0.4)]}]),
+            "element": indicator([(5, (0.4, 0.4)), (1, (0.5, 0.5))]),
         },
         "wedge-grid": workloads.grid_file(300, False, random.Random(1)).data,
         "wedge-grid-perturbed": workloads.grid_file(300, True, random.Random(2)).data,
@@ -163,6 +189,8 @@ def cases(files: dict[str, str]) -> list[tuple[str, list[str]]]:
                 ["verify", files["wedge-sphere-equator"], "--samples", "2000", "--json"]))
     out.append(("verify-wedge-grid-perturbed-json",
                 ["verify", files["wedge-grid-perturbed"], "--json"]))
+    for name in ("sphere-equator-boxes", "solenoid-thin-boxes", "cover-second-lift-of-ab"):
+        out.append((f"verify-{name}-json", ["verify", files[name], "--json"]))
     for name in ("ktheory-10", "ktheory-25", "ktheory-40", "ktheory-splice",
                  "ktheory-splice-misspelled"):
         out.append((f"{name}-json", ["ktheory", "solve", files[name], "--json"]))
