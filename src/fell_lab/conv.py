@@ -279,7 +279,7 @@ def grid_element(
     model: SpaceModel,
     values: Mapping[PointRef, np.ndarray] | Iterable[tuple[PointRef, np.ndarray]],
 ) -> AlgebraElement:
-    """Element given by explicit fiber matrices at finitely many base points."""
+    """Element given by explicit fiber matrices at one or more base points."""
     items = values.items() if isinstance(values, Mapping) else values
     stored: dict[tuple, np.ndarray] = {}
     points = []
@@ -297,6 +297,8 @@ def grid_element(
             raise ValueError(f"grid value at base point {label!r} is not finite")
         stored[label] = mat
         points.append(point)
+    if not points:
+        raise ValueError("a grid element needs at least one point")
     return AlgebraElement(model, GridRule(values=stored, points=tuple(points)))
 
 
@@ -387,7 +389,13 @@ def indicator_projection(model: SpaceModel, region: Region) -> AlgebraElement:
     A's chart, else ``NonHausdorffRegionError``, and for each transition m,
     else ``RegionSectionError``.  The maps reach every lift of a point.  The
     element's diagonal entries are 0 or 1, so it is an exact projection.
+    A box that holds no normalized point of its chart raises
+    ``ParameterError``.
     """
+    for i, a in enumerate(region.pieces):
+        own = AffineMap(a.chart, a.box, a.chart, (1.0,) * len(a.box), (0.0,) * len(a.box))
+        if _meeting(model, own, a, a) is None:
+            raise spaces.ParameterError(f"region piece {i} on chart {a.chart} holds no point of the model")
     checks = ((model.partners, NonHausdorffRegionError, "two non-separated points"),
               (model.transitions, RegionSectionError, "two members of one fiber"))
     for maps_of, error, what in checks:

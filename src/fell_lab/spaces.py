@@ -30,6 +30,7 @@ immutable records whose constructor fields are their file form
 
 from __future__ import annotations
 
+import bisect
 import functools
 import inspect
 import itertools
@@ -915,7 +916,8 @@ wedge = WedgeModel
 
 @dataclass(frozen=True)
 class Span:
-    """A linear run of a cover chart across one base stratum."""
+    """A linear run of a cover chart across one base stratum; the cover
+    checks that lo < hi and that the run lies in the stratum."""
 
     stratum: str
     lo: float
@@ -923,14 +925,6 @@ class Span:
     lo_closed: bool = False
     hi_closed: bool = False
     reverse: bool = False
-
-    def __post_init__(self) -> None:
-        if not (self.hi > self.lo):
-            raise ValueError("span needs hi > lo")
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
 
     def contains(self, t: float) -> bool:
         lo_ok = t >= self.lo - TOL if self.lo_closed else t > self.lo + TOL
@@ -956,42 +950,21 @@ class CoverChart:
 
     pieces: tuple[VertexPiece | Span, ...]
 
-    @functools.cached_property  # read on every locate and base_of call
-    def _offsets(self) -> tuple[float, ...]:
-        out = []
-        pos = 0.0
-        for piece in self.pieces:
-            out.append(pos)
-            if isinstance(piece, Span):
-                pos += piece.length
-        return tuple(out)
-
     def locate(self, point: tuple) -> tuple[float, float] | None:
         """Chart coordinate of a base point and the rate at which it moves
         with the stratum's coordinate (0 at a vertex), or None if the point
         is not in the chart."""
-        for piece, off in zip(self.pieces, self._offsets):
+        pos = 0.0
+        for piece in self.pieces:
             if isinstance(piece, VertexPiece):
                 if point == (piece.vertex,):
-                    return off, 0.0
-            elif len(point) == 2 and point[0] == piece.stratum and piece.contains(point[1]):
+                    return pos, 0.0
+                continue
+            if len(point) == 2 and point[0] == piece.stratum and piece.contains(point[1]):
                 t = point[1]
-                return (off + (piece.hi - t), -1.0) if piece.reverse else (off + (t - piece.lo), 1.0)
+                return (pos + (piece.hi - t), -1.0) if piece.reverse else (pos + (t - piece.lo), 1.0)
+            pos += piece.hi - piece.lo
         return None
-
-    def base_of(self, s: float) -> tuple:
-        """Base point at a chart coordinate."""
-        for piece, off in zip(self.pieces, self._offsets):
-            if isinstance(piece, VertexPiece):
-                if abs(s - off) <= TOL:
-                    return (piece.vertex,)
-            else:
-                if off - TOL <= s <= off + piece.length + TOL:
-                    local = min(max(s - off, 0.0), piece.length)
-                    t = (piece.hi - local) if piece.reverse else (piece.lo + local)
-                    if piece.contains(t):
-                        return (piece.stratum, t)
-        raise DomainError(f"coordinate {s} outside cover chart")
 
 
 @dataclass(frozen=True)
@@ -1026,9 +999,6 @@ _BASES = {
     ),
 }
 
-# Points per stratum of the grid on which a chart cover's coverage is checked.
-COVER_CHECK_GRID = 128
-
 
 @dataclass(frozen=True)
 class CoverModel(SpaceModel):
@@ -1036,10 +1006,11 @@ class CoverModel(SpaceModel):
 
     The fiber over a base point is the set of its copies across all charts
     containing it.  Construction looks the base up by name (``"interval"``
-    or ``"aab_ab"``), raising ``ParameterError`` for any other, and checks
-    coverage on a grid of ``COVER_CHECK_GRID`` points per stratum: an
-    uncovered point raises ``CoverageError``.  Hausdorffness of the
-    individual charts is a precondition on the caller.
+    or ``"aab_ab"``) and raises ``ParameterError`` for any other, or for a
+    piece that does not lie in the base; it then lists the cells of the base
+    that each chart holds (``_copies``), and a cell that no chart holds
+    raises ``CoverageError``.  Hausdorffness of the individual charts is a
+    precondition on the caller.
     """
 
     kind: ClassVar[str] = "cover"
@@ -1050,9 +1021,13 @@ class CoverModel(SpaceModel):
         if self.base not in _BASES:
             raise ParameterError(f"unknown base space {self.base!r}")
         object.__setattr__(self, "charts", tuple(self.charts))
-        for x in self.base_space.grid(COVER_CHECK_GRID):
-            if self._lift(x) is None:
-                raise CoverageError(f"base point {x!r} is not covered by any chart")
+        base = self.base_space
+        strata = {name: (lo, hi) for name, lo, hi, *_ in base.strata}
+        for p in (p for cc in self.charts for p in cc.pieces):
+            lo, hi = strata.get(getattr(p, "stratum", None), (math.inf, -math.inf))
+            if not (p.vertex in base.vertices if isinstance(p, VertexPiece) else lo <= p.lo < p.hi <= hi):
+                raise ParameterError(f"{p} does not lie in the {self.base!r} base")
+        self._copies  # built now, so that an uncovered cell raises here
 
     @property
     def base_space(self) -> BaseSpace:
@@ -1074,38 +1049,53 @@ class CoverModel(SpaceModel):
     def named_points(self) -> dict[str, PointRef]:
         return {v: self._lift((v,)) for v in self.base_space.vertices}
 
+    @functools.cached_property
+    def _copies(self) -> tuple[dict[tuple, tuple[Interval, float, float]], ...]:
+        """Per chart, each cell of the base that it holds, mapped to the cell's
+        chart coordinates, the rate at which they move with the stratum's (0
+        at a vertex) and the chart coordinate of the cell's point.  The cells
+        are the vertices, the points where a span or a closed stratum ends,
+        and the open runs between consecutive ends, keyed (point, None) or
+        (midpoint, (a, b)); a chart holds each cell whole or not at all.  A
+        run's interval stops TOL short of its ends, whose bands are theirs."""
+        out = tuple({} for _ in self.charts)
+        cells = [((v,), None) for v in self.base_space.vertices]
+        for name, lo, hi, lo_closed, hi_closed in self.base_space.strata:
+            ends = sorted({lo, hi}.union(*[(p.lo, p.hi) for cc in self.charts for p in cc.pieces
+                                           if getattr(p, "stratum", None) == name]))
+            cells += [((name, e), None) for e in ends if (lo_closed or e > lo) and (hi_closed or e < hi)]
+            cells += [((name, (a + b) / 2), (a, b)) for a, b in zip(ends, ends[1:])]
+        for x, run in cells:
+            for copies, cc in zip(out, self.charts):
+                if found := cc.locate(x):
+                    s, rate = found
+                    at = [(cc.locate((x[0], e)) or (s + rate * (e - x[1]),))[0] for e in run or ()]
+                    iv = Interval(min(at) + TOL, max(at) - TOL, False, False) if run else Interval(s, s)
+                    copies[x, run] = (iv, rate, s)
+            if not any((x, run) in copies for copies in out):
+                raise CoverageError(f"base point {x!r} is not covered by any chart")
+        return out
+
+    @functools.cached_property  # per chart, the sorted bounds of its copies' intervals
+    def _bounds(self) -> tuple[list[tuple[float, float]], ...]:
+        return tuple(sorted(iv.bounds for iv, _, _ in copies.values()) for copies in self._copies)
+
     def normalize(self, y: PointRef) -> PointRef:
         if not (0 <= y.chart < len(self.charts)) or len(y.coord) != 1:
             raise DomainError(f"invalid point {y!r} for cover model")
-        self.charts[y.chart].base_of(y.coord[0])  # raises if outside
+        bounds = self._bounds[y.chart]  # the one interval that may hold y starts last at or below it
+        i = bisect.bisect_right(bounds, (y.coord[0], math.inf)) - 1
+        if i < 0 or not y.coord[0] < bounds[i][1]:
+            raise DomainError(f"coordinate {y.coord[0]} outside cover chart")
         return y
 
     def transitions(self, chart: int) -> tuple[AffineMap, ...]:
-        return tuple(self._transitions.get(chart, ()))
-
-    @functools.cached_property  # derived once, when the first orbit is resolved
-    def _transitions(self) -> dict[int, list[AffineMap]]:
-        """Per chart, the maps s -> +-s + shift between two copies of a cell:
-        a vertex (constant maps), a span end, or an open run between two
-        consecutive span ends of a stratum."""
-        cells = [((v,), None) for v in self.base_space.vertices]
-        for name, *_ in self.base_space.strata:
-            ends = sorted({e for cc in self.charts for p in cc.pieces
-                           if getattr(p, "stratum", None) == name for e in (p.lo, p.hi)})
-            cells += [((name, e), None) for e in ends]
-            cells += [((name, (a + b) / 2), (a, b)) for a, b in zip(ends, ends[1:])]
-        out: dict[int, list[AffineMap]] = {}
-        for x, run in cells:
-            copies = [(j, found) for j, cc in enumerate(self.charts) if (found := cc.locate(x))]
-            for (j, (s, rate)), (k, (sk, rate_k)) in itertools.permutations(copies, 2):
-                domain = Interval(s, s)
-                if run:  # its ends as chart j has them where they are its points
-                    lo, hi = sorted((self.charts[j].locate((x[0], e)) or (s + rate * (e - x[1]),))[0]
-                                    for e in run)
-                    domain = Interval(lo + TOL, hi - TOL, False, False)
-                scale = rate * rate_k
-                out.setdefault(j, []).append(AffineMap(j, (domain,), k, (scale,), (sk - scale * s,)))
-        return out
+        """Per cell that ``chart`` holds, the maps s -> +-s + shift from its
+        copy there onto its copy in each other chart."""
+        return tuple(AffineMap(chart, (iv,), k, (rate * r,), (t - rate * r * s,))
+                     for cell, (iv, rate, s) in self._copies[chart].items()
+                     for k, copies in enumerate(self._copies) if k != chart and cell in copies
+                     for _, r, t in [copies[cell]])
 
     def sample_points(self, n: int, seed: int = 0) -> list[PointRef]:
         per = max(n // max(len(self.base_space.strata), 1), 8)

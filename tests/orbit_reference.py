@@ -3,7 +3,9 @@
 ``fell_lab.spaces`` resolves every fiber with one function over the maps a
 model declares (``SpaceModel.transitions``).  Below are the fibers written
 out case by case for each model instead, as the models once computed them;
-the tests check that both give the same orbits.  ``reference_members``
+the tests check that both give the same orbits.  ``base_of`` is the walk
+down a cover chart that the cover model once made for every point; it is
+the oracle for the cover's ``normalize`` too.  ``reference_members``
 takes a point that the model has normalized.
 """
 
@@ -12,9 +14,11 @@ from __future__ import annotations
 import math
 
 from fell_lab.spaces import (
+    TOL,
     BrokenHeart,
     CoverChart,
     CoverModel,
+    DomainError,
     Orbit,
     PinchCircle,
     PointRef,
@@ -108,9 +112,28 @@ def _wedge(model: WedgeModel, y: PointRef) -> list[PointRef]:
     return [PointRef(m.chart + model.offset, m.coord) for m in local]
 
 
+def base_of(chart: CoverChart, s: float) -> tuple:
+    """The base point at coordinate s of a cover chart, walking its pieces
+    in order; raises ``DomainError`` if the chart holds no point there."""
+    off = 0.0
+    for piece in chart.pieces:
+        if isinstance(piece, VertexPiece):
+            if abs(s - off) <= TOL:
+                return (piece.vertex,)
+            continue
+        length = piece.hi - piece.lo
+        if off - TOL <= s <= off + length + TOL:
+            local = min(max(s - off, 0.0), length)
+            t = (piece.hi - local) if piece.reverse else (piece.lo + local)
+            if piece.contains(t):
+                return (piece.stratum, t)
+        off += length
+    raise DomainError(f"coordinate {s} outside cover chart")
+
+
 def _cover(model: CoverModel, y: PointRef) -> list[PointRef]:
     # Down to the base point, then up into every chart that holds it.
-    x = model.charts[y.chart].base_of(y.coord[0])
+    x = base_of(model.charts[y.chart], y.coord[0])
     members = []
     for j, cc in enumerate(model.charts):
         found = cc.locate(x)

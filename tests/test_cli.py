@@ -417,6 +417,28 @@ class TestVerifyCommand:
                 "element": IDENTITY,
             },
         ),
+        # A grid with no points, which verify_projection cannot sample.
+        ("verify", {"model": {"kind": "solenoid_aab_ab"}, "element": {"rule": "grid", "points": []}}),
+        # A cover that leaves x = 0.5 in no chart, and one with a span past the base.
+        (
+            "verify",
+            {
+                "model": {"kind": "cover", "base": "interval", "charts": [
+                    {"pieces": [{"stratum": "x", "lo": 0.0, "hi": 0.5, "lo_closed": True}]},
+                    {"pieces": [{"stratum": "x", "lo": 0.5, "hi": 1.0, "hi_closed": True}]}]},
+                "element": IDENTITY,
+            },
+        ),
+        ("verify", interval_cover_file({"lo": -1.0, "hi": 2.0})),
+        # A region piece on a chart that the model does not have.
+        (
+            "verify",
+            {
+                "model": {"kind": "solenoid_aab_ab"},
+                "element": {"rule": "indicator",
+                            "region": {"pieces": [{"chart": 7, "box": [{"lo": 0.1, "hi": 0.2}]}]}},
+            },
+        ),
     ],
 )
 def test_non_object_json_exit_2(tmp_path, capsys, command, payload):

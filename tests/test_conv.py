@@ -46,6 +46,7 @@ from fell_lab.spaces import (
     SolenoidAabAb,
     Span,
     TwistedSphere,
+    VertexPiece,
     aab_ab_figure_cover,
     approach_sequences,
     build_cover_groupoid,
@@ -273,6 +274,20 @@ class TestIndicatorProjection:
         with pytest.raises(error):
             indicator_projection(model, region)
 
+    # Pieces whose indicator would be zero: an unknown chart, a box with the
+    # wrong number of axes, an empty box, and a box past the circle's period.
+    @pytest.mark.parametrize("piece", [
+        RegionPiece(7, (Interval(0.1, 0.2),)),
+        RegionPiece(-1, (Interval(0.1, 0.2),)),
+        RegionPiece(0, (Interval(0.1, 0.2), Interval(0.0, 1.0))),
+        RegionPiece(0, (Interval(0.2, 0.1),)),
+        RegionPiece(0, (Interval(3.2, 3.4),)),
+    ], ids=["chart-7", "chart-minus-1", "two-axes", "lo-above-hi", "past-period"])
+    def test_piece_without_a_point_rejected(self, piece):
+        model = SolenoidAabAb()
+        with pytest.raises(ParameterError, match="holds no point"):
+            indicator_projection(model, Region((A_CIRCLE_REGION.pieces[0], piece)))
+
     # [1, 2) on the splice circle: its closed end reaches 1 - TOL, inside the
     # open domain (0, 1) of theta -> theta + 1, but normalize snaps that band
     # onto the mark 1, so no normalized point of the region has two lifts in it.
@@ -379,16 +394,20 @@ class TestBatchedVerification:
         ind = indicator_projection(model, A_CIRCLE_REGION)
         assert_matches_reference(ind, sample_base_points(model, 800, seed=3))
 
-    def test_cover_goes_down_to_the_base_once_per_sample(self, monkeypatch):
-        # normalize checks a cover point against its chart, and the orbit then
-        # follows the cover's transitions without going down to the base again.
+    def test_cover_samples_walk_no_chart(self, monkeypatch):
+        # Once the samples are drawn, normalize and the orbits read the
+        # cover's cell table alone: no method of a chart or of its pieces runs.
         model = aab_ab_figure_cover()
         samples = sample_base_points(model, 2000)
-        calls = []
-        base_of = CoverChart.base_of
-        monkeypatch.setattr(CoverChart, "base_of", lambda cc, s: calls.append(s) or base_of(cc, s))
+        walked, patched = [], []
+        for cls in (CoverChart, Span, VertexPiece):
+            for name, method in list(vars(cls).items()):
+                if callable(method) and not name.startswith("__"):
+                    monkeypatch.setattr(cls, name, lambda *args, name=name: walked.append(name))
+                    patched.append(name)
+        assert {"locate", "contains"} <= set(patched)
         assert verify_projection(identity_element(model), samples).passes(0.0)
-        assert len(calls) == len(samples)
+        assert walked == []
 
     def test_chunk_edges(self):
         # Buckets one short of a chunk, exactly one, one over, and two plus one.

@@ -2,15 +2,17 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fell_lab.spaces
 from fell_lab.conv import RegionPiece, _meeting
-from orbit_reference import reference_orbit, two_vertex_cover
+from orbit_reference import base_of, reference_orbit, two_vertex_cover
 from fell_lab.spaces import (
+    TOL,
     AffineMap,
     BrokenHeart,
     CoverChart,
@@ -451,6 +453,29 @@ class TestWedge:
         assert rebuilt.to_dict() == outer.to_dict()
 
 
+# The figure cover, a cover with two lifts of ab, and the cover in README.
+COVERS = [
+    aab_ab_figure_cover(),
+    two_vertex_cover(),
+    CoverModel("interval", (CoverChart((Span("x", 0.0, 0.6, True),)),
+                            CoverChart((Span("x", 0.4, 1.0, False, True),)))),
+]
+
+
+def chart_marks(model, chart):
+    """The chart coordinates where a piece starts or ends, or where the
+    chart holds an end of some span of the cover, in ascending order."""
+    ends = {(p.stratum, e) for cc in model.charts for p in cc.pieces
+            if isinstance(p, Span) for e in (p.lo, p.hi)}
+    marks, pos = {0.0}, 0.0
+    for p in chart.pieces:
+        if isinstance(p, Span):
+            marks |= {pos + (p.hi - e if p.reverse else e - p.lo)
+                      for name, e in ends if name == p.stratum and p.lo <= e <= p.hi}
+            pos += p.hi - p.lo
+    return sorted(marks)
+
+
 class TestCoverGroupoid:
     def test_single_chart_hausdorff_base(self):
         chart = CoverChart(pieces=(Span("x", 0.0, 1.0, True, True),))
@@ -480,6 +505,51 @@ class TestCoverGroupoid:
         whole = CoverModel("interval", [CoverChart((Span("x", 0.0, 1.0, True, True),))])
         assert type(whole.charts) is tuple
         assert build_cover_groupoid is CoverModel
+
+    # Covers that a check on 128 grid points per stratum accepted: x = 0.5
+    # lies in neither chart, and neither does any x in (0.3, 0.300001].
+    @pytest.mark.parametrize("charts", [
+        (CoverChart((Span("x", 0.0, 0.5, True, False),)),
+         CoverChart((Span("x", 0.5, 1.0, False, True),))),
+        (CoverChart((Span("x", 0.0, 0.3, True, True),)),
+         CoverChart((Span("x", 0.300001, 1.0, False, True),))),
+    ], ids=["gap-at-half", "gap-after-0.3"])
+    def test_gap_between_grid_points_rejected(self, charts):
+        with pytest.raises(CoverageError, match="not covered by any chart"):
+            CoverModel("interval", charts)
+
+    @pytest.mark.parametrize("piece", [
+        Span("x", -1.0, 2.0), Span("x", 0.5, 1.0 + 1e-6), Span("x", 0.5, 0.5), Span("x", 0.5, 0.2),
+        Span("z", 0.0, 1.0), VertexPiece("ab"),
+    ], ids=["span-past-both-ends", "span-past-one-end", "empty-span", "reversed-ends",
+            "unknown-stratum", "unknown-vertex"])
+    def test_piece_outside_the_base_rejected(self, piece):
+        whole = CoverChart((Span("x", 0.0, 1.0, True, True),))
+        with pytest.raises(ParameterError, match=re.escape(f"{piece} does not lie in the 'interval' base")):
+            CoverModel("interval", (whole, CoverChart((piece,))))
+
+    @pytest.mark.parametrize("model", COVERS, ids=["figure", "two-vertex", "readme"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_normalize_accepts_what_the_chart_walk_reaches(self, model, data):
+        # The walk down the chart (orbit_reference.base_of) is the oracle; the
+        # coordinates are drawn uniformly and within 5 TOL of every junction.
+        # The walk compares a stratum coordinate with TOL, and normalize a
+        # chart coordinate, so the two round differently within an ulp of the
+        # edge of a TOL band (at 1e-9 * (1 + 1e-15), say); such points are left out.
+        j = data.draw(st.integers(0, len(model.charts) - 1))
+        chart = model.charts[j]
+        marks = chart_marks(model, chart)
+        s = data.draw(st.floats(-0.1, marks[-1] + 0.1)
+                      | st.sampled_from(marks).flatmap(lambda m: st.floats(m - 5e-9, m + 5e-9)))
+        assume(all(abs(abs(s - m) - TOL) > 1e-15 for m in marks))
+        try:
+            base_of(chart, s)
+        except DomainError:
+            with pytest.raises(DomainError):
+                model.normalize(PointRef(j, (s,)))
+        else:
+            assert model.normalize(PointRef(j, (s,))) == PointRef(j, (s,))
 
     def test_figure_cover_against_brute_force(self):
         # Independent membership predicates for the five charts.

@@ -132,6 +132,25 @@ def input_files(where: Path) -> dict[str, str]:
                 {"pieces": [span("b", 0.6, 1.0), {"vertex": "ab"}, span("a", 0.0, 0.4)]}]),
             "element": indicator([(5, (0.4, 0.4)), (1, (0.5, 0.5))]),
         },
+        # Inputs that exit 2: a cover that leaves x = 0.5 in no chart, a span
+        # past the ends of its base, a grid with no points and a region piece
+        # on a chart that the model does not have.
+        "cover-gap-at-half": {
+            "model": {"kind": "cover", "base": "interval", "charts": [
+                {"pieces": [dict(span("x", 0.0, 0.5), lo_closed=True)]},
+                {"pieces": [dict(span("x", 0.5, 1.0), hi_closed=True)]}]},
+            "element": identity,
+        },
+        "cover-span-outside-base": {
+            "model": {"kind": "cover", "base": "interval", "charts": [
+                {"pieces": [dict(span("x", 0.0, 1.0), lo_closed=True, hi_closed=True)]},
+                {"pieces": [span("x", -1.0, 2.0)]}]},
+            "element": identity,
+        },
+        "grid-no-points": {"model": {"kind": "solenoid_aab_ab"},
+                           "element": {"rule": "grid", "points": []}},
+        "region-unknown-chart": {"model": {"kind": "solenoid_aab_ab"},
+                                 "element": indicator([(7, (0.1, 0.2))])},
         "wedge-grid": workloads.grid_file(300, False, random.Random(1)).data,
         "wedge-grid-perturbed": workloads.grid_file(300, True, random.Random(2)).data,
         "ktheory-10": workloads.ktheory_system(10, random.Random(3)).data,
@@ -190,6 +209,9 @@ def cases(files: dict[str, str]) -> list[tuple[str, list[str]]]:
     out.append(("verify-wedge-grid-perturbed-json",
                 ["verify", files["wedge-grid-perturbed"], "--json"]))
     for name in ("sphere-equator-boxes", "solenoid-thin-boxes", "cover-second-lift-of-ab"):
+        out.append((f"verify-{name}-json", ["verify", files[name], "--json"]))
+    for name in ("cover-gap-at-half", "cover-span-outside-base", "grid-no-points",
+                 "region-unknown-chart"):
         out.append((f"verify-{name}-json", ["verify", files[name], "--json"]))
     for name in ("ktheory-10", "ktheory-25", "ktheory-40", "ktheory-splice",
                  "ktheory-splice-misspelled"):
