@@ -22,7 +22,9 @@ Only a region is checked exactly, against the maps its model declares.
 
 Branch-continuity defects compare the block of the fiber matrix spanned by
 members that converge to lifts of the target class against the element's
-value at those branch points.  Members that leave the total space along the
+value at those branch points.  A member's limit is its last two positions
+extrapolated to distance 0 and identified as points are everywhere, by
+``normalize`` and ``qkey``.  Members that leave the total space along the
 sequence carry no constraint at the branch point and are excluded; this is
 what makes the constant-diagonal identity element continuous even on models
 with noncompact total space.
@@ -49,6 +51,7 @@ from .spaces import (
     SpaceModel,
     TwistedSphere,
     WedgeModel,
+    qkey,
     resolve_orbit,
 )
 
@@ -587,11 +590,14 @@ def check_branch_continuity(
 ) -> list[ContinuityDefect]:
     """Extrapolated limits along approach sequences versus branch-point values.
 
-    For each sequence, fiber members are classified by matching the closest
-    sample against the lifts of the target class's members; entries between
-    members converging to lifts of the same branch point are extrapolated and
-    compared against the element's value there, and the defect is the largest
-    entry deviation.  Members with no limit in the total space are excluded.
+    For each sequence, each fiber member of the closest sample is carried to
+    distance 0 along the line through its last two positions; its limit is
+    the lift of the target class that has the ``qkey`` of that point after
+    ``normalize``.  Entries between members converging to lifts of the same
+    branch point are extrapolated and compared against the element's value
+    there, and the defect is the largest entry deviation.  A member whose
+    line ends outside the total space (``DomainError``) or at no lift of the
+    class has no limit there and is excluded.
     """
     model = f.model
     out = []
@@ -603,54 +609,29 @@ def check_branch_continuity(
                 f"fiber size changes along approach sequence {seq.direction!r}"
             )
         values = [_entries_at(f, o) for o in orbits]
-        cls = model.branch_class(seq.branch_class)
-        target_orbits = {
-            name: resolve_orbit(model, model.named_point(name))
-            for name in cls.members
-        }
-        limit_of = _classify_members(
-            model.periods, orbits[-1], target_orbits, seq.distances[-1]
-        )
+        targets, lifts = {}, {}  # per class member its orbit; per key of a lift, its member and index
+        for name in model.branch_class(seq.branch_class).members:
+            targets[name] = resolve_orbit(model, model.named_point(name))
+            lifts.update((key, (name, a)) for a, key in enumerate(targets[name].keys))
+        matched = {name: [] for name in targets}  # per class member, (i, a): member i goes to lift a
+        d_prev, d_last = seq.distances[-2:]
+        for i, (p, q) in enumerate(zip(orbits[-2].members, orbits[-1].members)):
+            at_zero = tuple([b + (b - a) * d_last / (d_prev - d_last) for a, b in zip(p.coord, q.coord)])
+            try:
+                name, a = lifts[qkey(model.normalize(PointRef(q.chart, at_zero)))]
+            except (DomainError, KeyError):  # no limit in the class
+                continue
+            matched[name].append((i, a))
         defect = 0.0
-        for name, torbit in target_orbits.items():
-            idxs = [
-                (i, lift_idx)
-                for i, (n, lift_idx) in limit_of.items()
-                if n == name
-            ]
+        for name, idxs in matched.items():
             if not idxs:
                 continue
-            target = _entries_at(f, torbit)
+            target = _entries_at(f, targets[name])
             for i, a in idxs:
                 for j, b in idxs:
                     lim = extrapolate_limit([v[i, j] for v in values])
                     defect = max(defect, abs(lim - target[a, b]))
         out.append(ContinuityDefect(f"{seq.branch_class}:{seq.direction}", defect))
-    return out
-
-
-def _classify_members(
-    periods: tuple[float | None, ...],
-    orbit: Orbit,
-    target_orbits: dict[str, Orbit],
-    last_distance: float,
-) -> dict[int, tuple[str, int]]:
-    """Match fiber members of the closest sample to branch-point lifts."""
-    threshold = max(8.0 * last_distance, 64.0 * spaces.TOL)
-    out: dict[int, tuple[str, int]] = {}
-    for i, m in enumerate(orbit.members):
-        for name, torbit in target_orbits.items():
-            for lift_idx, lift in enumerate(torbit.members):
-                if lift.chart != m.chart or len(lift.coord) != len(m.coord):
-                    continue
-                dist = 0.0
-                for axis, (a, b) in enumerate(zip(m.coord, lift.coord)):
-                    d = abs(a - b)
-                    if axis == 0 and periods[m.chart] is not None:
-                        d = min(d, periods[m.chart] - d)
-                    dist = max(dist, d)
-                if dist <= threshold:
-                    out[i] = (name, lift_idx)
     return out
 
 

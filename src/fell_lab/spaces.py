@@ -341,12 +341,7 @@ class SpaceModel:
     """Shared surface of all models; subclasses fill in the geometry."""
 
     kind: ClassVar[str]  # the file-format name, declared once per model class
-
-    @property
-    def periods(self) -> tuple[float | None, ...]:
-        """Per chart, the period of its angular axis-0 coordinate (None if
-        linear); other axes are always linear."""
-        raise NotImplementedError
+    chart_count: int  # charts are 0 .. chart_count - 1; a class attribute or a property
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
@@ -497,10 +492,7 @@ class SolenoidAabAb(SpaceModel):
 
     kind: ClassVar[str] = "solenoid_aab_ab"
     MARKS: ClassVar[tuple[float, ...]] = (0.0, 1.0, 2.0)
-
-    @property
-    def periods(self) -> tuple[float | None, ...]:
-        return (3.0,)
+    chart_count: ClassVar[int] = 1
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
@@ -554,10 +546,7 @@ class BrokenHeart(SpaceModel):
     """
 
     kind: ClassVar[str] = "broken_heart"
-
-    @property
-    def periods(self) -> tuple[float | None, ...]:
-        return (None, None, None)
+    chart_count: ClassVar[int] = 3
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
@@ -636,11 +625,8 @@ class TwistedSphere(SpaceModel):
     """
 
     kind: ClassVar[str] = "twisted_sphere"
+    chart_count: ClassVar[int] = 3
     equator_theta: float = 0.3
-
-    @property
-    def periods(self) -> tuple[float | None, ...]:
-        return (TWO_PI, TWO_PI, TWO_PI)
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
@@ -764,8 +750,8 @@ class PinchCircle(SpaceModel):
         object.__setattr__(self, "split_points", pts)
 
     @property
-    def periods(self) -> tuple[float | None, ...]:
-        return (1.0,) * self.sheets
+    def chart_count(self) -> int:
+        return self.sheets
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
@@ -841,11 +827,11 @@ class WedgeModel(SpaceModel):
 
     @functools.cached_property  # read on every shift of a right-factor point
     def offset(self) -> int:
-        return len(self.left.periods)
+        return self.left.chart_count
 
     @property
-    def periods(self) -> tuple[float | None, ...]:
-        return self.left.periods + self.right.periods
+    def chart_count(self) -> int:
+        return self.left.chart_count + self.right.chart_count
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:
@@ -953,18 +939,20 @@ class CoverChart:
     def locate(self, point: tuple) -> tuple[float, float] | None:
         """Chart coordinate of a base point and the rate at which it moves
         with the stratum's coordinate (0 at a vertex), or None if the point
-        is not in the chart."""
-        pos = 0.0
+        is not in the chart; ``ParameterError`` if two pieces hold it."""
+        pos, found = 0.0, []
         for piece in self.pieces:
             if isinstance(piece, VertexPiece):
                 if point == (piece.vertex,):
-                    return pos, 0.0
+                    found.append((pos, 0.0))
                 continue
             if len(point) == 2 and point[0] == piece.stratum and piece.contains(point[1]):
                 t = point[1]
-                return (pos + (piece.hi - t), -1.0) if piece.reverse else (pos + (t - piece.lo), 1.0)
+                found.append((pos + (piece.hi - t), -1.0) if piece.reverse else (pos + (t - piece.lo), 1.0))
             pos += piece.hi - piece.lo
-        return None
+        if len(found) > 1:
+            raise ParameterError(f"a cover chart holds the base point {point!r} twice")
+        return found[0] if found else None
 
 
 @dataclass(frozen=True)
@@ -1009,7 +997,8 @@ class CoverModel(SpaceModel):
     or ``"aab_ab"``) and raises ``ParameterError`` for any other, or for a
     piece that does not lie in the base; it then lists the cells of the base
     that each chart holds (``_copies``), and a cell that no chart holds
-    raises ``CoverageError``.  Hausdorffness of the individual charts is a
+    raises ``CoverageError``, one that two pieces of a chart hold
+    ``ParameterError``.  Hausdorffness of the individual charts is a
     precondition on the caller.
     """
 
@@ -1034,8 +1023,8 @@ class CoverModel(SpaceModel):
         return _BASES[self.base]
 
     @property
-    def periods(self) -> tuple[float | None, ...]:
-        return (None,) * len(self.charts)
+    def chart_count(self) -> int:
+        return len(self.charts)
 
     @property
     def branch_classes(self) -> tuple[BranchClass, ...]:

@@ -7,12 +7,20 @@ the tests check that both give the same orbits.  ``base_of`` is the walk
 down a cover chart that the cover model once made for every point; it is
 the oracle for the cover's ``normalize`` too.  ``reference_members``
 takes a point that the model has normalized.
+
+``reference_continuity`` is ``check_branch_continuity`` as it once matched
+fiber members to branch-point lifts: by a periodic sup-distance within
+``max(8 * last distance, 64 * TOL)``, the last matching lift winning, with
+each chart's period from ``periods``.  That threshold reaches the next mark
+on coarse sequences (two samples from 0.25), so it is an oracle only for
+finer ones.
 """
 
 from __future__ import annotations
 
 import math
 
+from fell_lab.conv import ContinuityDefect, _entries_at, extrapolate_limit
 from fell_lab.spaces import (
     TOL,
     BrokenHeart,
@@ -25,10 +33,12 @@ from fell_lab.spaces import (
     SolenoidAabAb,
     Span,
     TwistedSphere,
+    TWO_PI,
     VertexPiece,
     WedgeModel,
     aab_ab_figure_cover,
     qkey,
+    resolve_orbit,
 )
 
 
@@ -150,3 +160,64 @@ _MEMBERS = {
     WedgeModel: _wedge,
     CoverModel: _cover,
 }
+
+
+def periods(model) -> tuple[float | None, ...]:
+    """Per chart, the period of its angular axis-0 coordinate (None if
+    linear); other axes are always linear."""
+    if isinstance(model, WedgeModel):
+        return periods(model.left) + periods(model.right)
+    period = {SolenoidAabAb: 3.0, TwistedSphere: TWO_PI, PinchCircle: 1.0}.get(type(model))
+    return (period,) * model.chart_count
+
+
+def classify_members(
+    periods: tuple[float | None, ...],
+    orbit: Orbit,
+    target_orbits: dict[str, Orbit],
+    last_distance: float,
+) -> dict[int, tuple[str, int]]:
+    """Match fiber members of the closest sample to branch-point lifts."""
+    threshold = max(8.0 * last_distance, 64.0 * TOL)
+    out: dict[int, tuple[str, int]] = {}
+    for i, m in enumerate(orbit.members):
+        for name, torbit in target_orbits.items():
+            for lift_idx, lift in enumerate(torbit.members):
+                if lift.chart != m.chart or len(lift.coord) != len(m.coord):
+                    continue
+                dist = 0.0
+                for axis, (a, b) in enumerate(zip(m.coord, lift.coord)):
+                    d = abs(a - b)
+                    if axis == 0 and periods[m.chart] is not None:
+                        d = min(d, periods[m.chart] - d)
+                    dist = max(dist, d)
+                if dist <= threshold:
+                    out[i] = (name, lift_idx)
+    return out
+
+
+def reference_continuity(f, seqs) -> list[ContinuityDefect]:
+    """The defects of ``check_branch_continuity``, with members matched by
+    ``classify_members``."""
+    model = f.model
+    out = []
+    for seq in seqs:
+        orbits = [resolve_orbit(model, x) for x in seq.samples]
+        if any(o.size != orbits[0].size for o in orbits):
+            raise ValueError(f"fiber size changes along approach sequence {seq.direction!r}")
+        values = [_entries_at(f, o) for o in orbits]
+        target_orbits = {name: resolve_orbit(model, model.named_point(name))
+                          for name in model.branch_class(seq.branch_class).members}
+        limit_of = classify_members(periods(model), orbits[-1], target_orbits, seq.distances[-1])
+        defect = 0.0
+        for name, torbit in target_orbits.items():
+            idxs = [(i, lift_idx) for i, (n, lift_idx) in limit_of.items() if n == name]
+            if not idxs:
+                continue
+            target = _entries_at(f, torbit)
+            for i, a in idxs:
+                for j, b in idxs:
+                    lim = extrapolate_limit([v[i, j] for v in values])
+                    defect = max(defect, abs(lim - target[a, b]))
+        out.append(ContinuityDefect(f"{seq.branch_class}:{seq.direction}", defect))
+    return out

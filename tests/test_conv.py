@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -36,7 +37,7 @@ from fell_lab.conv import (
     verify_projection,
     zero_element,
 )
-from orbit_reference import two_vertex_cover
+from orbit_reference import reference_continuity, two_vertex_cover
 from fell_lab.spaces import (
     BrokenHeart,
     ParameterError,
@@ -598,6 +599,77 @@ class TestBranchContinuity:
         assert defects["wedge:a@0"] == pytest.approx(0.0)
         assert defects["wedge:b@0"] == pytest.approx(0.0)
         assert defects["wedge:b@1"] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("model", [SolenoidAabAb(), standard_wedge()], ids=lambda m: m.kind)
+    def test_identity_continuous_on_coarse_sequences(self, model):
+        # Two samples, from 0.25: the closest is 0.125 from its limit, and a
+        # member is matched to the lift it converges to, not to the next mark.
+        for c in model.branch_classes:
+            seqs = approach_sequences(model, c.name, 2, 0.25)
+            defects = check_branch_continuity(identity_element(model), seqs)
+            assert [d.defect for d in defects] == [0.0] * len(seqs), c.name
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 16), eps0=st.floats(1e-3, 0.25), seed=st.integers(0, 2**16))
+    def test_limits_match_the_distance_matcher(self, data, n, eps0, seed):
+        # The matcher that compared each member with every lift, within 8
+        # times the last distance, is right on sequences of three or more
+        # samples; both must give the same defects for the identity and for
+        # a random grid element over the sequence and the class's points.
+        model = data.draw(st.sampled_from(CONTINUITY_MODELS) | pinch_circles() | twisted_spheres())
+        cls = data.draw(st.sampled_from([c for c in model.branch_classes if c.directions]))
+        rng = np.random.default_rng(seed)
+        for seq in approach_sequences(model, cls.name, n, eps0):
+            for f in (identity_element(model), grid_over_sequence(model, seq, rng)):
+                assert outcome(check_branch_continuity, f, [seq]) == outcome(reference_continuity, f, [seq])
+
+
+# A wedge point of each factor: its fiber is a singleton and it is no branch point.
+WEDGE_FACTORS = [
+    (SolenoidAabAb(), PointRef(0, (2.5,))),
+    (BrokenHeart(), PointRef(0, (0.0,))),
+    (aab_ab_figure_cover(), PointRef(4, (0.4,))),
+]
+
+# Every shipped model and a wedge of each pair of factors, if it has a class with directions.
+CONTINUITY_MODELS = [
+    m for m in [SolenoidAabAb(), BrokenHeart(), TwistedSphere(), PinchCircle((0.2, 0.5, 0.8), 2)]
+    + [wedge(left, right, lp, rp) for (left, lp), (right, rp) in itertools.product(WEDGE_FACTORS, repeat=2)]
+    if any(c.directions for c in m.branch_classes)
+]
+
+
+def pinch_circles():
+    """Pinches whose split points lie close together, down to 5 TOL apart."""
+    def pinch(a, gaps, sheets):
+        return PinchCircle(tuple(a + sum(gaps[:i]) for i in range(len(gaps) + 1)), sheets)
+
+    return st.builds(pinch, st.floats(0.0, 0.99), st.lists(st.floats(5e-9, 0.01), max_size=3),
+                     st.integers(2, 4))
+
+
+def twisted_spheres():
+    """Spheres with the listed equator pair anywhere, on the seams at 0 and pi too."""
+    seams = st.sampled_from([0.0, math.pi, 2 * math.pi - 1e-12])
+    return st.builds(TwistedSphere, st.floats(0.0, 2 * math.pi) | seams)
+
+
+def grid_over_sequence(model, seq, rng):
+    """A grid element with a random matrix over each sample and each class member."""
+    points = list(seq.samples) + [model.named_point(m) for m in model.branch_class(seq.branch_class).members]
+    vals = {}
+    for x in points:
+        orbit = resolve_orbit(model, x)
+        vals.setdefault(orbit.base_label, (x, random_matrix(rng, orbit.size)))
+    return grid_element(model, list(vals.values()))
+
+
+def outcome(check, f, seqs):
+    """The defects as (sequence, defect) pairs, or the error raised."""
+    try:
+        return [(d.sequence, d.defect) for d in check(f, seqs)]
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 class TestRestrict:

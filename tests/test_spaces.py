@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fell_lab.spaces
 from fell_lab.conv import RegionPiece, _meeting
-from orbit_reference import base_of, reference_orbit, two_vertex_cover
+from orbit_reference import base_of, periods, reference_orbit, two_vertex_cover
 from fell_lab.spaces import (
     TOL,
     AffineMap,
@@ -58,7 +58,7 @@ def assert_orbits_close(model, a, b, tol=2e-9):
     for ma, mb in zip(a.members, b.members):
         assert ma.chart == mb.chart
         for axis, (ca, cb) in enumerate(zip(ma.coord, mb.coord)):
-            period = model.periods[ma.chart] if axis == 0 else None
+            period = periods(model)[ma.chart] if axis == 0 else None
             d = abs(ca - cb)
             if period is not None:
                 d = min(d, period - d)
@@ -138,7 +138,7 @@ class TestOrbitOracle:
         # The resolver takes the first domain out of a chart that holds a
         # point.  Two domains may share a snap band, which holds no
         # normalized point; the region check finds one if there is any.
-        for chart in range(len(model.periods)):
+        for chart in range(model.chart_count):
             domains = {m.domain for m in model.transitions(chart)}
             for a, b in itertools.combinations(domains, 2):
                 same = AffineMap(chart, b, chart, (1.0,) * len(b), (0.0,) * len(b))
@@ -439,7 +439,7 @@ class TestWedge:
 
     def test_nested_wedge_composes(self):
         outer = nested_wedge()
-        assert len(outer.periods) == 7
+        assert outer.chart_count == 7
         glue = resolve_orbit(outer, PointRef(2, (0.5,)))
         assert glue.size == 1
         assert glue == resolve_orbit(outer, PointRef(5, (0.4,)))
@@ -517,6 +517,25 @@ class TestCoverGroupoid:
     def test_gap_between_grid_points_rejected(self, charts):
         with pytest.raises(CoverageError, match="not covered by any chart"):
             CoverModel("interval", charts)
+
+    # One chart whose pieces hold a base point twice: two overlapping spans
+    # (x in (0.4, 0.6) at chart coordinates s and s + 0.2), two spans whose
+    # closed ends meet, and one vertex named twice.
+    @pytest.mark.parametrize("base, chart, point", [
+        ("interval", CoverChart((Span("x", 0.0, 0.6, True), Span("x", 0.4, 1.0, False, True))), "('x', 0.5)"),
+        ("interval", CoverChart((Span("x", 0.0, 0.5, True, True), Span("x", 0.5, 1.0, True, True))),
+         "('x', 0.5)"),
+        ("aab_ab", CoverChart((VertexPiece("ab"), Span("a", 0.0, 0.5), VertexPiece("ab"))), "('ab',)"),
+    ], ids=["overlapping-spans", "closed-ends-meet", "vertex-twice"])
+    def test_chart_holding_a_point_twice_rejected(self, base, chart, point):
+        charts = aab_ab_figure_cover().charts if base == "aab_ab" else ()
+        with pytest.raises(ParameterError, match=re.escape(f"a cover chart holds the base point {point} twice")):
+            CoverModel(base, charts + (chart,))
+
+    def test_spans_meeting_at_one_closed_end_accepted(self):
+        chart = CoverChart((Span("x", 0.0, 0.5, True, True), Span("x", 0.5, 1.0, False, True)))
+        model = CoverModel("interval", (chart,))
+        assert resolve_orbit(model, PointRef(0, (0.5,))).size == 1
 
     @pytest.mark.parametrize("piece", [
         Span("x", -1.0, 2.0), Span("x", 0.5, 1.0 + 1e-6), Span("x", 0.5, 0.5), Span("x", 0.5, 0.2),

@@ -133,8 +133,9 @@ def input_files(where: Path) -> dict[str, str]:
             "element": indicator([(5, (0.4, 0.4)), (1, (0.5, 0.5))]),
         },
         # Inputs that exit 2: a cover that leaves x = 0.5 in no chart, a span
-        # past the ends of its base, a grid with no points and a region piece
-        # on a chart that the model does not have.
+        # past the ends of its base, a chart that holds a point twice, a grid
+        # with no points and a region piece on a chart that the model does
+        # not have.
         "cover-gap-at-half": {
             "model": {"kind": "cover", "base": "interval", "charts": [
                 {"pieces": [dict(span("x", 0.0, 0.5), lo_closed=True)]},
@@ -145,6 +146,13 @@ def input_files(where: Path) -> dict[str, str]:
             "model": {"kind": "cover", "base": "interval", "charts": [
                 {"pieces": [dict(span("x", 0.0, 1.0), lo_closed=True, hi_closed=True)]},
                 {"pieces": [span("x", -1.0, 2.0)]}]},
+            "element": identity,
+        },
+        # One chart that holds x in (0.4, 0.6) twice, at chart coordinates s and s + 0.2.
+        "cover-chart-holds-point-twice": {
+            "model": {"kind": "cover", "base": "interval", "charts": [
+                {"pieces": [dict(span("x", 0.0, 0.6), lo_closed=True),
+                            dict(span("x", 0.4, 1.0), hi_closed=True)]}]},
             "element": identity,
         },
         "grid-no-points": {"model": {"kind": "solenoid_aab_ab"},
@@ -210,8 +218,8 @@ def cases(files: dict[str, str]) -> list[tuple[str, list[str]]]:
                 ["verify", files["wedge-grid-perturbed"], "--json"]))
     for name in ("sphere-equator-boxes", "solenoid-thin-boxes", "cover-second-lift-of-ab"):
         out.append((f"verify-{name}-json", ["verify", files[name], "--json"]))
-    for name in ("cover-gap-at-half", "cover-span-outside-base", "grid-no-points",
-                 "region-unknown-chart"):
+    for name in ("cover-gap-at-half", "cover-span-outside-base", "cover-chart-holds-point-twice",
+                 "grid-no-points", "region-unknown-chart"):
         out.append((f"verify-{name}-json", ["verify", files[name], "--json"]))
     for name in ("ktheory-10", "ktheory-25", "ktheory-40", "ktheory-splice",
                  "ktheory-splice-misspelled"):
