@@ -47,12 +47,14 @@ from .spaces import (
     DomainError,
     Interval,
     Orbit,
+    OrbitBlock,
     PointRef,
     SpaceModel,
     TwistedSphere,
     WedgeModel,
     qkey,
-    resolve_orbit,
+    resolve_orbit,  # still importable from here, as before
+    resolve_orbits,
 )
 
 ALGEBRA_TOL = 1e-12
@@ -123,9 +125,6 @@ class Region:
     Hausdorff subset of the base."""
 
     pieces: tuple[RegionPiece, ...] = ()
-
-    def contains(self, y: PointRef) -> bool:
-        return any(piece.contains(y) for piece in self.pieces)
 
 
 @dataclass(frozen=True)
@@ -283,23 +282,22 @@ def grid_element(
     values: Mapping[PointRef, np.ndarray] | Iterable[tuple[PointRef, np.ndarray]],
 ) -> AlgebraElement:
     """Element given by explicit fiber matrices at one or more base points."""
-    items = values.items() if isinstance(values, Mapping) else values
+    items = iter(values.items() if isinstance(values, Mapping) else values)
     stored: dict[tuple, np.ndarray] = {}
     points = []
-    for point, arr in items:
-        orbit = resolve_orbit(model, point)
-        label = orbit.base_label
-        if label in stored:
-            raise ValueError(f"duplicate grid value at base point {label!r}")
-        mat = np.asarray(arr, dtype=complex)
-        if mat.shape != (orbit.size, orbit.size):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match fiber size {orbit.size}"
-            )
-        if not np.isfinite(mat).all():
-            raise ValueError(f"grid value at base point {label!r} is not finite")
-        stored[label] = mat
-        points.append(point)
+    while chunk := list(itertools.islice(items, VERIFY_CHUNK)):
+        fibers = sorted((row, label, block.size) for block in resolve_orbits(model, [x for x, _ in chunk])
+                        for row, label in zip(block.rows.tolist(), block.labels()))
+        for (_, label, size), (point, arr) in zip(fibers, chunk):
+            if label in stored:
+                raise ValueError(f"duplicate grid value at base point {label!r}")
+            mat = np.asarray(arr, dtype=complex)
+            if mat.shape != (size, size):
+                raise ValueError(f"matrix shape {mat.shape} does not match fiber size {size}")
+            if not np.isfinite(mat).all():
+                raise ValueError(f"grid value at base point {label!r} is not finite")
+            stored[label] = mat
+            points.append(point)
     if not points:
         raise ValueError("a grid element needs at least one point")
     return AlgebraElement(model, GridRule(values=stored, points=tuple(points)))
@@ -325,57 +323,64 @@ def _check_same_model(f: AlgebraElement, g: AlgebraElement) -> None:
         raise IncompatibilityError("elements live over different models")
 
 
-def _sphere_projection_entries(orbit: Orbit, perturb: float) -> np.ndarray:
-    z = abs(orbit.members[0].coord[1])
-    if orbit.size == 1:
-        mat = np.array([[1.0 - z]], dtype=complex)
-    elif orbit.size == 2:
-        mat = np.array([[z, 0.0], [0.0, z]], dtype=complex)
-    else:
-        u1, u2 = orbit.members[0], orbit.members[1]
-        c = math.sqrt(0.5 * z * (1.0 - z))
-        mat = np.zeros((4, 4), dtype=complex)
-        mat[0, 0] = mat[1, 1] = 1.0 - z
-        mat[2, 2] = mat[3, 3] = z
-        for i, u in ((0, u1), (1, u2)):
-            mat[i, 2] = c
-            mat[2, i] = c
-            phase = np.exp(-1j * u.coord[0])
-            mat[i, 3] = phase * c
-            mat[3, i] = np.conj(phase) * c
+def _sphere_projection_entries(block: OrbitBlock, perturb: float) -> np.ndarray:
+    m, k = block.charts.shape
+    z = np.abs(block.coords[:, 0, 1])
+    mat = np.zeros((m, k, k), dtype=complex)
+    mat[:, range(k), range(k)] = np.stack({1: [1.0 - z], 2: [z, z], 4: [1.0 - z, 1.0 - z, z, z]}[k], axis=1)
+    if k == 4:
+        c = np.sqrt(0.5 * z * (1.0 - z))
+        for i in (0, 1):
+            mat[:, i, 2] = mat[:, 2, i] = c
+            phase = np.exp(-1j * block.coords[:, i, 0])
+            mat[:, i, 3], mat[:, 3, i] = phase * c, np.conj(phase) * c
     if perturb:
-        mat[0, 0] += perturb
+        mat[:, 0, 0] += perturb
     return mat
+
+
+def fiber_stacks(f: AlgebraElement, points: list[PointRef]) -> list[tuple[OrbitBlock, np.ndarray]]:
+    """The fibers through points, one block per size (``resolve_orbits``),
+    each with its ``(m, k, k)`` stack of the element's fiber matrices."""
+    return [(block, _entries_at(f, block)) for block in resolve_orbits(f.model, points)]
 
 
 def evaluate(f: AlgebraElement, x: PointRef) -> FiberMatrix:
     """The fiber matrix of an element at a base point (given by any lift)."""
-    orbit = resolve_orbit(f.model, x)
-    return FiberMatrix(orbit, _entries_at(f, orbit))
+    ((block, entries),) = fiber_stacks(f, [x])
+    return FiberMatrix(block.orbit(0), entries[0])
 
 
-def _entries_at(f: AlgebraElement, orbit: Orbit) -> np.ndarray:
+def _entries_at(f: AlgebraElement, block: OrbitBlock) -> np.ndarray:
+    """The ``(m, k, k)`` stack of the element's matrices over a block's fibers."""
     rule = f.rule
+    m, k, d = block.coords.shape
     if isinstance(rule, SphereProjectionRule):
-        return _sphere_projection_entries(orbit, rule.perturb_first_diag)
+        return _sphere_projection_entries(block, rule.perturb_first_diag)
     if isinstance(rule, ScalarRule):
-        return rule.c * np.eye(orbit.size, dtype=complex)
+        return np.repeat((rule.c * np.eye(k, dtype=complex))[None], m, axis=0)
     if isinstance(rule, GridRule):
-        return rule.lookup(orbit.base_label).copy()
+        return np.stack([rule.lookup(label) for label in block.labels()])
     if isinstance(rule, IndicatorRule):
-        diag = [1.0 if rule.region.contains(m) else 0.0 for m in orbit.members]
-        return np.diag(np.array(diag, dtype=complex))
+        inside, x = np.zeros((m, k), dtype=bool), block.coords
+        for piece in rule.region.pieces:
+            if len(piece.box) == d:
+                lo, hi = np.array([iv.bounds for iv in piece.box]).T
+                inside |= (block.charts == piece.chart) & ((lo <= x) & (x < hi)).all(axis=2)
+        return inside[..., None] * np.eye(k, dtype=complex)
     if isinstance(rule, AdjointRule):
-        return _entries_at(rule.inner, orbit).conj().T
+        return _entries_at(rule.inner, block).conj().transpose(0, 2, 1)
     if isinstance(rule, SumRule):
-        return _entries_at(rule.left, orbit) + _entries_at(rule.right, orbit)
+        return _entries_at(rule.left, block) + _entries_at(rule.right, block)
     if isinstance(rule, ProductRule):
-        return _entries_at(rule.left, orbit) @ _entries_at(rule.right, orbit)
+        return _entries_at(rule.left, block) @ _entries_at(rule.right, block)
     if isinstance(rule, RestrictRule):
-        big = evaluate(rule.inner, rule.inner.model.from_factor(rule.side, orbit.members[0]))
-        if big.size != orbit.size:
+        lifts = [rule.inner.model.from_factor(rule.side, PointRef(c, tuple(x)))
+                 for c, x in zip(block.charts[:, 0].tolist(), block.coords[:, 0].tolist())]
+        big = fiber_stacks(rule.inner, lifts)
+        if len(big) != 1 or big[0][0].size != k:
             raise IncompatibilityError("restricted fiber size mismatch")
-        return big.entries
+        return big[0][1]
     raise TypeError(f"unknown rule {rule!r}")
 
 
@@ -487,8 +492,9 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-# Fiber matrices of one size are stacked this many at a time, so that each
-# operator norm is one batched SVD call while the stack stays small in memory.
+# Samples are resolved and checked this many at a time: their fibers come as
+# one stack of matrices per size, so that each operator norm is one batched
+# SVD call while the stacks stay small in memory.
 VERIFY_CHUNK = 256
 
 
@@ -496,22 +502,20 @@ def verify_projection(p: AlgebraElement, samples: list[PointRef]) -> Verificatio
     """Operator-norm defects of idempotency and self-adjointness over samples.
 
     ``report.passes(tol)`` holds iff both maxima are within ``tol``; the
-    fullness floor over the same samples is included for convenience.  Fiber
-    matrices are grouped by size and checked ``VERIFY_CHUNK`` at a time; the
-    maxima and the floor are those of the per-sample values.
+    fullness floor over the same samples is included for convenience.  The
+    samples are resolved ``VERIFY_CHUNK`` at a time (``fiber_stacks``), and
+    each stack of one fiber size is checked at once; the maxima and the
+    floor are those of the per-sample values.
     """
     if not samples:
         raise ValueError("need at least one sample point")
-    max_idem = 0.0
-    max_sa = 0.0
-    floor = math.inf
+    max_idem, max_sa, floor = 0.0, 0.0, math.inf
 
-    def fold(pending: list[np.ndarray]) -> None:
+    def fold(a: np.ndarray) -> None:
         # np.maximum keeps a NaN defect (a square that overflows) instead of
         # dropping it, so such a report fails rather than reading 0; the
         # overflow itself is that NaN, not a warning.
         nonlocal max_idem, max_sa, floor
-        a = np.stack(pending)
         if not np.isfinite(a).all():
             raise ValueError("entries must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -520,17 +524,9 @@ def verify_projection(p: AlgebraElement, samples: list[PointRef]) -> Verificatio
             max_sa = np.maximum(max_sa, np.linalg.norm(a - adj, 2, axis=(1, 2)).max())
         floor = min(floor, float(np.abs(a).max(axis=(1, 2)).min()))
 
-    by_size: dict[int, list[np.ndarray]] = {}
-    for x in samples:
-        orbit = resolve_orbit(p.model, x)
-        pending = by_size.setdefault(orbit.size, [])
-        pending.append(_entries_at(p, orbit))
-        if len(pending) == VERIFY_CHUNK:
-            fold(pending)
-            pending.clear()
-    for pending in by_size.values():
-        if pending:
-            fold(pending)
+    for start in range(0, len(samples), VERIFY_CHUNK):
+        for _, a in fiber_stacks(p, samples[start:start + VERIFY_CHUNK]):
+            fold(a)
     return VerificationReport(
         max_idempotency_defect=float(max_idem),
         max_selfadjoint_defect=float(max_sa),
@@ -602,23 +598,20 @@ def check_branch_continuity(
     model = f.model
     out = []
     for seq in seqs:
-        orbits = [resolve_orbit(model, x) for x in seq.samples]
-        size = orbits[0].size
-        if any(o.size != size for o in orbits):
-            raise ValueError(
-                f"fiber size changes along approach sequence {seq.direction!r}"
-            )
-        values = [_entries_at(f, o) for o in orbits]
-        targets, lifts = {}, {}  # per class member its orbit; per key of a lift, its member and index
+        block, *others = resolve_orbits(model, seq.samples)
+        if others:
+            raise ValueError(f"fiber size changes along approach sequence {seq.direction!r}")
+        values = _entries_at(f, block)
+        targets, lifts = {}, {}  # per class member its fiber; per key of a lift, its member and index
         for name in model.branch_class(seq.branch_class).members:
-            targets[name] = resolve_orbit(model, model.named_point(name))
-            lifts.update((key, (name, a)) for a, key in enumerate(targets[name].keys))
+            (targets[name],) = resolve_orbits(model, [model.named_point(name)])
+            lifts.update((key, (name, a)) for a, key in enumerate(targets[name].orbit(0).keys))
         matched = {name: [] for name in targets}  # per class member, (i, a): member i goes to lift a
         d_prev, d_last = seq.distances[-2:]
-        for i, (p, q) in enumerate(zip(orbits[-2].members, orbits[-1].members)):
-            at_zero = tuple([b + (b - a) * d_last / (d_prev - d_last) for a, b in zip(p.coord, q.coord)])
+        for i, (p, q, chart) in enumerate(zip(*block.coords[-2:].tolist(), block.charts[-1].tolist())):
+            at_zero = tuple([b + (b - a) * d_last / (d_prev - d_last) for a, b in zip(p, q)])
             try:
-                name, a = lifts[qkey(model.normalize(PointRef(q.chart, at_zero)))]
+                name, a = lifts[qkey(model.normalize(PointRef(chart, at_zero)))]
             except (DomainError, KeyError):  # no limit in the class
                 continue
             matched[name].append((i, a))
@@ -626,10 +619,10 @@ def check_branch_continuity(
         for name, idxs in matched.items():
             if not idxs:
                 continue
-            target = _entries_at(f, targets[name])
+            target = _entries_at(f, targets[name])[0]
             for i, a in idxs:
                 for j, b in idxs:
-                    lim = extrapolate_limit([v[i, j] for v in values])
+                    lim = extrapolate_limit(values[:, i, j])
                     defect = max(defect, abs(lim - target[a, b]))
         out.append(ContinuityDefect(f"{seq.branch_class}:{seq.direction}", defect))
     return out

@@ -21,7 +21,8 @@ from .conv import (
     Region,
     RegionPiece,
     check_branch_continuity,
-    evaluate,
+    evaluate,  # still importable from here, as before
+    fiber_stacks,
     indicator_projection,
     restrict,
     twisted_sphere_projection,
@@ -219,7 +220,7 @@ def _run_broken_heart_wedge(p: dict) -> _Outcome:
     rep = verify_projection(ind, sample_base_points(model, p["samples"], seed=p["seed"]))
     rho = restrict(ind, "right")
     heart_samples = sample_base_points(BrokenHeart(), max(p["samples"] // 2, 1), seed=p["seed"])
-    worst = max(evaluate(rho, x).max_abs() for x in heart_samples)
+    worst = max(float(abs(stack).max()) for _, stack in fiber_stacks(rho, heart_samples))
     checks = [
         _bound("idempotency_defect", rep.max_idempotency_defect, 0.0),
         _bound("selfadjoint_defect", rep.max_selfadjoint_defect, 0.0),
@@ -238,10 +239,9 @@ def _run_twisted_sphere(p: dict) -> _Outcome:
     seqs = approach_sequences(model, "equator", 16, 0.01)
     defects = check_branch_continuity(proj, seqs)
     trace_err = 0.0
-    for x in samples[:: max(len(samples) // 500, 1)]:
-        mat = evaluate(proj, x)
-        expected_trace = {4: 2.0, 2: 2.0, 1: 1.0}[mat.size]
-        trace_err = max(trace_err, abs(mat.trace() - expected_trace))
+    for block, stack in fiber_stacks(proj, samples[:: max(len(samples) // 500, 1)]):
+        expected_trace = {4: 2.0, 2: 2.0, 1: 1.0}[block.size]
+        trace_err = max(trace_err, float(abs(stack.trace(axis1=1, axis2=2) - expected_trace).max()))
     checks = [
         _bound("idempotency_defect", rep.max_idempotency_defect, tol),
         _bound("selfadjoint_defect", rep.max_selfadjoint_defect, tol),
@@ -260,9 +260,7 @@ def _run_pinch(p: dict) -> _Outcome:
     model = PinchCircle(
         split_points=tuple((i + 1.0) / (m + 1.0) for i in range(m)), sheets=k
     )
-    sizes = set()
-    for y in sample_base_points(model, 60, seed=p["seed"]):
-        sizes.add(spaces.resolve_orbit(model, y).size)
+    sizes = {b.size for b in spaces.resolve_orbits(model, sample_base_points(model, 60, seed=p["seed"]))}
     expected = (1, k) if m else (k,)  # with no split points every fiber has k members
     checks = [
         Check("fiber_sizes", sizes == set(expected), "{" + ", ".join(map(str, expected)) + "}",

@@ -9,10 +9,11 @@ base points that no open sets separate (by default, from the listed branch
 classes).  The groupoid R(psi) = {(x, y) : psi(x) = psi(y)} is generated by
 the transitions.  Everything downstream reads this surface:
 
-* ``resolve_orbit`` applies the transitions to a normalized point and
-  returns its fiber in canonical order (ascending chart id, then
-  lexicographic coordinate), so that fiber matrices are indexed
-  deterministically; ``is_branch_point`` asks the partner maps;
+* ``resolve_orbits`` applies the transitions to many normalized points in
+  columns and returns their fibers in canonical order (ascending chart id,
+  then lexicographic coordinate), one block per fiber size, so that fiber
+  matrices are indexed deterministically; ``resolve_orbit`` is its one-row
+  call, and ``is_branch_point`` asks the partner maps;
 * ``wedge`` glues two models at points with singleton fibers that are not
   branch points, and ``build_cover_groupoid`` turns a chart cover of a
   named base into the model whose fiber over x is the copies of x;
@@ -38,7 +39,9 @@ import math
 import random
 import types
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Callable, ClassVar, NamedTuple, Union, get_args, get_origin, get_type_hints
+from typing import Callable, ClassVar, NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 TOL = 1e-9
 _QSCALE = 1e9
@@ -297,18 +300,12 @@ class BranchClass:
 class Orbit:
     """A full fiber in canonical order; the index set of fiber matrices.
 
-    ``keys`` holds the ``qkey`` of each member, in the same order; orbits
-    compare and hash by their keys alone.
+    ``keys`` holds the ``qkey`` of each member, in the same order and no two
+    equal (``resolve_orbits`` checks); orbits compare and hash by them alone.
     """
 
     members: tuple[PointRef, ...] = field(compare=False)
     keys: tuple[tuple, ...]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("orbit must be nonempty")
-        if len(set(self.keys)) != len(self.keys):
-            raise ValueError("orbit has duplicate members")
 
     @property
     def size(self) -> int:
@@ -371,31 +368,30 @@ class SpaceModel:
                         for a in lifts[i] if a.chart == chart for b in lifts[j]]
         return tuple(out)
 
-    @functools.cached_property  # chart -> its transitions by domain, filled on first use
-    def _cases(self) -> dict[int, list]:
+    @functools.cached_property  # chart -> its cell grid, filled on first use
+    def _grids(self) -> dict[int, tuple]:
         return {}
 
-    def orbit_members(self, y: PointRef) -> list[PointRef]:
-        """Members of the fiber through a normalized point, any order: y and
-        its images under the transitions whose domain holds it."""
-        cases = self._cases.get(y.chart)
-        if cases is None:  # per domain: its bounds, then each image as (target, *scale, *shift)
-            by_domain: dict[tuple, list] = {}
-            for m in self.transitions(y.chart):
-                by_domain.setdefault(m.domain, []).append((m.target, *m.scale, *m.shift))
-            cases = self._cases[y.chart] = [(sum((iv.bounds for iv in box), ()), images)
-                                            for box, images in by_domain.items()]
-        if len(y.coord) == 1:  # charts have one axis or two; the loops are the hot path
-            (x,) = y.coord
-            for (lo, hi), images in cases:
-                if lo <= x < hi:
-                    return [y] + [PointRef(t, (a * x + b,)) for t, a, b in images]
-            return [y]
-        x0, x1 = y.coord
-        for (l0, h0, l1, h1), images in cases:
-            if l0 <= x0 < h0 and l1 <= x1 < h1:
-                return [y] + [PointRef(t, (a0 * x0 + b0, a1 * x1 + b1)) for t, a0, a1, b0, b1 in images]
-        return [y]
+    def _cells(self, chart: int) -> tuple:
+        """The cell grid of a chart's transitions: per axis the sorted ends of
+        their domains, a table from each cell to its case (a domain) or -1, and
+        per case its image count and its (targets, scales, shifts), padded."""
+        grid = self._grids.get(chart)
+        if grid is None:
+            by_domain: dict[tuple, list[AffineMap]] = {}
+            for m in self.transitions(chart):
+                by_domain.setdefault(m.domain, []).append(m)
+            ends = [[iv.bounds for iv in box] for box in by_domain] or [[()]]
+            edges = [np.array(sorted({b for bounds in axis for b in bounds})) for axis in zip(*ends)]
+            table = np.full([len(e) + 1 for e in edges], -1)
+            for j in reversed(range(len(by_domain))):  # the first domain wins a shared snap band
+                table[tuple(slice(*np.searchsorted(e, b, "right")) for e, b in zip(edges, ends[j]))] = j
+            maps = list(by_domain.values()) + [[]]  # case -1 is the last: no images
+            width, blank = max(map(len, maps)), (0.0,) * len(edges)
+            images = [np.array([[getattr(m, f) for m in ms] + [pad] * (width - len(ms)) for ms in maps])
+                      for f, pad in (("target", 0), ("scale", blank), ("shift", blank))]
+            grid = self._grids[chart] = (edges, table, np.array([len(ms) for ms in maps]), images)
+        return grid
 
     def named_points(self) -> dict[str, PointRef]:
         return {}
@@ -424,15 +420,68 @@ class SpaceModel:
         return write_json(self)
 
 
-def resolve_orbit(model: SpaceModel, y: PointRef) -> Orbit:
-    """The full fiber through y in canonical order.
+class OrbitBlock(NamedTuple):
+    """The fibers of one size k through m points, as columns: each point's
+    input row, ascending, and per member in canonical order its chart
+    ``(m, k)``, coordinates ``(m, k, d)`` and ``qkey`` integers ``(m, k, d)``."""
 
-    Canonical order is ascending chart id, then lexicographic coordinates
-    (after 1e-9 quantization); resolving again from any member returns an
-    equal orbit.
+    rows: np.ndarray
+    charts: np.ndarray
+    coords: np.ndarray
+    keys: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.charts.shape[1]
+
+    def labels(self) -> list[tuple]:
+        """Each fiber's base label, the key of its first member."""
+        return list(zip(self.charts[:, 0].tolist(), map(tuple, self.keys[:, 0].tolist())))
+
+    def orbit(self, i: int) -> Orbit:
+        charts, coords, keys = self.charts[i].tolist(), self.coords[i].tolist(), self.keys[i].tolist()
+        return Orbit(tuple(map(PointRef, charts, map(tuple, coords))), tuple(zip(charts, map(tuple, keys))))
+
+
+def resolve_orbits(model: SpaceModel, points: Sequence[PointRef]) -> list[OrbitBlock]:
+    """The fibers through points, one block per fiber size, ascending.
+
+    Each point goes through ``normalize`` in order.  Then one ``searchsorted``
+    per axis finds its cell in its chart's cell grid, the cell's maps give the
+    other members as arrays, and one ``lexsort`` puts every fiber in canonical
+    order; resolving again from any member gives an equal fiber.
     """
-    keyed = sorted((qkey(m), m) for m in model.orbit_members(model.normalize(y)))
-    return Orbit(tuple(m for _, m in keyed), tuple(k for k, _ in keyed))
+    ys = [model.normalize(y) for y in points]
+    charts, coords = np.array([y.chart for y in ys], dtype=np.int64), np.array([y.coord for y in ys], float)
+    if not np.isfinite(coords).all():  # a NaN, which a period reduces an infinity to, has no key
+        raise ValueError("cannot resolve a point with a coordinate that is not finite")
+    case, size = np.empty_like(charts), np.empty_like(charts)
+    for c in set(charts.tolist()):
+        at = charts == c
+        edges, table, counts, _ = model._cells(c)
+        case[at] = table[tuple(np.searchsorted(e, coords[at, a], "right") for a, e in enumerate(edges))]
+        size[at] = counts[case[at]] + 1
+    blocks = []
+    for k in sorted(set(size.tolist())):
+        rows = np.flatnonzero(size == k)
+        ch, xs = np.repeat(charts[rows, None], k, axis=1), np.repeat(coords[rows, None], k, axis=1)
+        for c in set(ch[:, 0].tolist()) if k > 1 else ():
+            at = ch[:, 0] == c
+            targets, scale, shift = (a[case[rows[at]], :k - 1] for a in model._cells(c)[3])
+            ch[at, 1:], xs[at, 1:] = targets, xs[at, :1] * scale + shift
+        keys = np.rint(xs * _QSCALE).astype(np.int64)
+        order = np.lexsort([keys[..., a] for a in reversed(range(keys.shape[2]))] + [ch], axis=-1)
+        at = np.arange(len(rows))[:, None], order
+        ch, xs, keys = ch[at], xs[at], keys[at]
+        if ((ch[:, 1:] == ch[:, :-1]) & (keys[:, 1:] == keys[:, :-1]).all(axis=2)).any():
+            raise ValueError("orbit has duplicate members")
+        blocks.append(OrbitBlock(rows, ch, xs, keys))
+    return blocks
+
+
+def resolve_orbit(model: SpaceModel, y: PointRef) -> Orbit:
+    """The full fiber through y in canonical order: one row of ``resolve_orbits``."""
+    return resolve_orbits(model, [y])[0].orbit(0)
 
 
 def sample_count(n: int) -> int:

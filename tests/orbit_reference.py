@@ -1,26 +1,51 @@
-"""Reference fibers, written out by hand per model, for the tests.
+"""Reference fibers and fiber matrices for the tests, one point at a time.
 
-``fell_lab.spaces`` resolves every fiber with one function over the maps a
-model declares (``SpaceModel.transitions``).  Below are the fibers written
-out case by case for each model instead, as the models once computed them;
-the tests check that both give the same orbits.  ``base_of`` is the walk
-down a cover chart that the cover model once made for every point; it is
-the oracle for the cover's ``normalize`` too.  ``reference_members``
-takes a point that the model has normalized.
+``fell_lab.spaces.resolve_orbits`` resolves fibers as columns through a cell
+grid over the maps a model declares (``SpaceModel.transitions``), and
+``fell_lab.conv`` takes fiber matrices as stacks.  Two older forms of both
+stay here as oracles:
+
+* ``scalar_orbit`` is the resolver that the columns replaced: the first
+  domain out of a chart that holds the point, tried in order, then the
+  members sorted by ``qkey``; ``reference_entries`` gives one fiber's
+  matrix per rule, and ``reference_evaluate`` wraps it in a
+  ``FiberMatrix``.  The tests check that the columns equal them bit for bit.
+* ``reference_orbit`` writes the fibers out case by case for each model,
+  as the models once computed them.  ``base_of`` is the walk down a cover
+  chart that the cover model once made for every point; it is the oracle
+  for the cover's ``normalize`` too.  ``reference_members`` takes a point
+  that the model has normalized.
 
 ``reference_continuity`` is ``check_branch_continuity`` as it once matched
 fiber members to branch-point lifts: by a periodic sup-distance within
 ``max(8 * last distance, 64 * TOL)``, the last matching lift winning, with
 each chart's period from ``periods``.  That threshold reaches the next mark
 on coarse sequences (two samples from 0.25), so it is an oracle only for
-finer ones.
+finer ones.  It reads the scalar oracles above, not the columns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
-from fell_lab.conv import ContinuityDefect, _entries_at, extrapolate_limit
+import numpy as np
+from hypothesis import strategies as st
+
+from fell_lab.conv import (
+    AdjointRule,
+    ContinuityDefect,
+    FiberMatrix,
+    GridRule,
+    IncompatibilityError,
+    IndicatorRule,
+    ProductRule,
+    RestrictRule,
+    ScalarRule,
+    SphereProjectionRule,
+    SumRule,
+    extrapolate_limit,
+)
 from fell_lab.spaces import (
     TOL,
     BrokenHeart,
@@ -37,8 +62,8 @@ from fell_lab.spaces import (
     VertexPiece,
     WedgeModel,
     aab_ab_figure_cover,
+    build_cover_groupoid,
     qkey,
-    resolve_orbit,
 )
 
 
@@ -47,6 +72,112 @@ def two_vertex_cover() -> CoverModel:
     has two lifts, in chart 0 at 0.5 and in chart 5 at 0.4."""
     through_ab = CoverChart((Span("b", 0.6, 1.0), VertexPiece("ab"), Span("a", 0.0, 0.4)))
     return CoverModel("aab_ab", aab_ab_figure_cover().charts + (through_ab,))
+
+
+def quarters_cover() -> CoverModel:
+    """The unit interval covered 1, 2, 3 and 4 times on its four quarters."""
+    charts = [
+        CoverChart(pieces=(Span("x", lo, 1.0, lo == 0.0, True),)) for lo in (0.0, 0.25, 0.5, 0.75)
+    ]
+    return build_cover_groupoid("interval", charts)
+
+
+def pinch_circles():
+    """Pinches whose split points lie close together, down to 5 TOL apart."""
+    def pinch(a, gaps, sheets):
+        return PinchCircle(tuple(a + sum(gaps[:i]) for i in range(len(gaps) + 1)), sheets)
+
+    return st.builds(pinch, st.floats(0.0, 0.99), st.lists(st.floats(5e-9, 0.01), max_size=3),
+                     st.integers(2, 4))
+
+
+@functools.lru_cache(maxsize=64)
+def _cases(model, chart: int) -> list:
+    """Per domain of a chart's transitions: its bounds, then each image as
+    (target, *scale, *shift)."""
+    by_domain: dict[tuple, list] = {}
+    for m in model.transitions(chart):
+        by_domain.setdefault(m.domain, []).append((m.target, *m.scale, *m.shift))
+    return [(sum((iv.bounds for iv in box), ()), images) for box, images in by_domain.items()]
+
+
+def scalar_members(model, y: PointRef) -> list[PointRef]:
+    """Members of the fiber through a normalized point, any order: y and its
+    images under the transitions of the first domain that holds it."""
+    if len(y.coord) == 1:
+        (x,) = y.coord
+        for (lo, hi), images in _cases(model, y.chart):
+            if lo <= x < hi:
+                return [y] + [PointRef(t, (a * x + b,)) for t, a, b in images]
+        return [y]
+    x0, x1 = y.coord
+    for (l0, h0, l1, h1), images in _cases(model, y.chart):
+        if l0 <= x0 < h0 and l1 <= x1 < h1:
+            return [y] + [PointRef(t, (a0 * x0 + b0, a1 * x1 + b1)) for t, a0, a1, b0, b1 in images]
+    return [y]
+
+
+def scalar_orbit(model, y: PointRef) -> Orbit:
+    """The fiber through y in canonical order, from ``scalar_members``."""
+    keyed = sorted((qkey(m), m) for m in scalar_members(model, model.normalize(y)))
+    if len({k for k, _ in keyed}) != len(keyed):
+        raise ValueError("orbit has duplicate members")
+    return Orbit(tuple(m for _, m in keyed), tuple(k for k, _ in keyed))
+
+
+def _sphere_projection_entries(orbit: Orbit, perturb: float) -> np.ndarray:
+    z = abs(orbit.members[0].coord[1])
+    if orbit.size == 1:
+        mat = np.array([[1.0 - z]], dtype=complex)
+    elif orbit.size == 2:
+        mat = np.array([[z, 0.0], [0.0, z]], dtype=complex)
+    else:
+        u1, u2 = orbit.members[0], orbit.members[1]
+        c = math.sqrt(0.5 * z * (1.0 - z))
+        mat = np.zeros((4, 4), dtype=complex)
+        mat[0, 0] = mat[1, 1] = 1.0 - z
+        mat[2, 2] = mat[3, 3] = z
+        for i, u in ((0, u1), (1, u2)):
+            mat[i, 2] = c
+            mat[2, i] = c
+            phase = np.exp(-1j * u.coord[0])
+            mat[i, 3] = phase * c
+            mat[3, i] = np.conj(phase) * c
+    if perturb:
+        mat[0, 0] += perturb
+    return mat
+
+
+def reference_entries(f, orbit: Orbit) -> np.ndarray:
+    """The element's matrix over one fiber."""
+    rule = f.rule
+    if isinstance(rule, SphereProjectionRule):
+        return _sphere_projection_entries(orbit, rule.perturb_first_diag)
+    if isinstance(rule, ScalarRule):
+        return rule.c * np.eye(orbit.size, dtype=complex)
+    if isinstance(rule, GridRule):
+        return rule.lookup(orbit.base_label).copy()
+    if isinstance(rule, IndicatorRule):
+        diag = [1.0 if any(p.contains(m) for p in rule.region.pieces) else 0.0 for m in orbit.members]
+        return np.diag(np.array(diag, dtype=complex))
+    if isinstance(rule, AdjointRule):
+        return reference_entries(rule.inner, orbit).conj().T
+    if isinstance(rule, SumRule):
+        return reference_entries(rule.left, orbit) + reference_entries(rule.right, orbit)
+    if isinstance(rule, ProductRule):
+        return reference_entries(rule.left, orbit) @ reference_entries(rule.right, orbit)
+    if isinstance(rule, RestrictRule):
+        big = reference_evaluate(rule.inner, rule.inner.model.from_factor(rule.side, orbit.members[0]))
+        if big.size != orbit.size:
+            raise IncompatibilityError("restricted fiber size mismatch")
+        return big.entries
+    raise TypeError(f"unknown rule {rule!r}")
+
+
+def reference_evaluate(f, x: PointRef) -> FiberMatrix:
+    """The fiber matrix of an element at a base point, from the scalar oracles."""
+    orbit = scalar_orbit(f.model, x)
+    return FiberMatrix(orbit, reference_entries(f, orbit))
 
 
 def reference_orbit(model, y: PointRef) -> Orbit:
@@ -202,11 +333,11 @@ def reference_continuity(f, seqs) -> list[ContinuityDefect]:
     model = f.model
     out = []
     for seq in seqs:
-        orbits = [resolve_orbit(model, x) for x in seq.samples]
+        orbits = [scalar_orbit(model, x) for x in seq.samples]
         if any(o.size != orbits[0].size for o in orbits):
             raise ValueError(f"fiber size changes along approach sequence {seq.direction!r}")
-        values = [_entries_at(f, o) for o in orbits]
-        target_orbits = {name: resolve_orbit(model, model.named_point(name))
+        values = [reference_entries(f, o) for o in orbits]
+        target_orbits = {name: scalar_orbit(model, model.named_point(name))
                           for name in model.branch_class(seq.branch_class).members}
         limit_of = classify_members(periods(model), orbits[-1], target_orbits, seq.distances[-1])
         defect = 0.0
@@ -214,7 +345,7 @@ def reference_continuity(f, seqs) -> list[ContinuityDefect]:
             idxs = [(i, lift_idx) for i, (n, lift_idx) in limit_of.items() if n == name]
             if not idxs:
                 continue
-            target = _entries_at(f, torbit)
+            target = reference_entries(f, torbit)
             for i, a in idxs:
                 for j, b in idxs:
                     lim = extrapolate_limit([v[i, j] for v in values])

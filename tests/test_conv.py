@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from fell_lab.conv import (
     AlgebraElement,
     IncompatibilityError,
     Interval,
+    RestrictRule,
+    ScalarRule,
     InvarianceError,
     MissingSampleError,
     NonHausdorffRegionError,
@@ -26,6 +30,7 @@ from fell_lab.conv import (
     element_from_dict,
     evaluate,
     extrapolate_limit,
+    fiber_stacks,
     grid_element,
     identity_element,
     indicator_projection,
@@ -37,7 +42,15 @@ from fell_lab.conv import (
     verify_projection,
     zero_element,
 )
-from orbit_reference import reference_continuity, two_vertex_cover
+from orbit_reference import (
+    pinch_circles,
+    quarters_cover,
+    reference_continuity,
+    reference_entries,
+    reference_evaluate,
+    scalar_orbit,
+    two_vertex_cover,
+)
 from fell_lab.spaces import (
     BrokenHeart,
     ParameterError,
@@ -50,7 +63,6 @@ from fell_lab.spaces import (
     VertexPiece,
     aab_ab_figure_cover,
     approach_sequences,
-    build_cover_groupoid,
     resolve_orbit,
     sample_base_points,
     wedge,
@@ -338,15 +350,15 @@ def _opnorm(mat: np.ndarray) -> float:
 def _verify_projection_reference(
     p: AlgebraElement, samples: list[PointRef], tol: float = ALGEBRA_TOL
 ) -> VerificationReport:
-    """Oracle: the per-sample loop, one evaluation and two SVDs per sample,
-    that the batched ``verify_projection`` replaced."""
+    """Oracle: the per-sample loop, one scalar evaluation and two SVDs per
+    sample, that the batched ``verify_projection`` replaced."""
     if not samples:
         raise ValueError("need at least one sample point")
     max_idem = 0.0
     max_sa = 0.0
     floor = math.inf
     for x in samples:
-        mat = evaluate(p, x).entries
+        mat = reference_evaluate(p, x).entries
         max_idem = max(max_idem, _opnorm(mat @ mat - mat))
         max_sa = max(max_sa, _opnorm(mat - mat.conj().T))
         floor = min(floor, float(np.max(np.abs(mat))))
@@ -365,16 +377,82 @@ def assert_matches_reference(p: AlgebraElement, samples: list[PointRef]) -> Veri
     return rep
 
 
-def quarters_cover():
-    """The unit interval covered 1, 2, 3 and 4 times on its four quarters."""
-    charts = [
-        CoverChart(pieces=(Span("x", lo, 1.0, lo == 0.0, True),)) for lo in (0.0, 0.25, 0.5, 0.75)
-    ]
-    return build_cover_groupoid("interval", charts)
-
-
 def random_matrix(rng, d: int) -> np.ndarray:
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+ENTRY_MODELS = [
+    SolenoidAabAb(), BrokenHeart(), TwistedSphere(), PinchCircle((0.2, 0.5, 0.8), 2),
+    standard_wedge(), aab_ab_figure_cover(), two_vertex_cover(), quarters_cover(),
+]
+
+
+def grid_at(model, points, rng):
+    """A grid element with a random matrix over the fiber of each point."""
+    vals = {}
+    for x in points:
+        orbit = resolve_orbit(model, x)
+        vals.setdefault(orbit.base_label, (x, random_matrix(rng, orbit.size)))
+    return grid_element(model, list(vals.values()))
+
+
+def one_of_each_rule(model, points, rng):
+    """Elements over a model that use every rule it admits, with a grid
+    defined at each of the points."""
+    grid, scalar = grid_at(model, points, rng), AlgebraElement(model, ScalarRule(-0.75))
+    out = [identity_element(model), scalar, grid, adjoint(grid), add(grid, scalar),
+           product(grid, adjoint(grid)), product(adjoint(grid), add(grid, scalar))]
+    if isinstance(model, TwistedSphere):
+        out += [twisted_sphere_projection(model), twisted_sphere_projection(model, float(rng.normal()))]
+    region = {"solenoid_aab_ab": A_CIRCLE_REGION, "wedge": A_CIRCLE_REGION,
+              "broken_heart": boxes(1, (0.2, 0.8)), "twisted_sphere": boxes(1, (0.5, 2.0, 0.2, 0.6))}
+    ind = indicator_projection(model, region.get(model.kind, boxes(0, (0.1, 0.6))))
+    out += [ind, product(ind, grid), adjoint(add(ind, grid))]
+    return out
+
+
+def assert_stacks_match_oracle(f, points):
+    """Each fiber matrix of the stacks equals the scalar oracle's, bit for bit."""
+    for block, stack in fiber_stacks(f, points):
+        assert stack.shape == (len(block.rows), block.size, block.size)
+        for row, mat in zip(block.rows.tolist(), stack):
+            want = reference_entries(f, scalar_orbit(f.model, points[row]))
+            assert mat.tobytes() == want.tobytes(), (f.rule, points[row])
+
+
+class TestStackedEntries:
+    """``fiber_stacks`` takes the matrices of a block at once, per rule; each
+    must equal the per-fiber oracle ``orbit_reference.reference_entries``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), count=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_every_rule_equals_the_oracle(self, data, count, seed):
+        model = data.draw(st.sampled_from(ENTRY_MODELS) | pinch_circles() | twisted_spheres())
+        pool = sample_base_points(model, 200, seed=seed % 89) + list(model.named_points().values())
+        points = random.Random(seed).choices(pool, k=count)
+        for f in one_of_each_rule(model, points, np.random.default_rng(seed)):
+            assert_stacks_match_oracle(f, points)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("model", [
+        standard_wedge(),
+        wedge(standard_wedge(), BrokenHeart(), PointRef(2, (0.5,)), PointRef(1, (0.4,))),
+    ], ids=["wedge", "nested"])
+    def test_restrictions_equal_the_oracle(self, model, side):
+        rng = np.random.default_rng(3)
+        factor = getattr(model, side)
+        points = sample_base_points(factor, 300, seed=4)
+        grid = grid_at(model, [model.from_factor(side, x) for x in points], rng)
+        for f in one_of_each_rule(model, [model.from_factor(side, x) for x in points], rng) + [grid]:
+            assert_stacks_match_oracle(restrict(f, side), points)
+
+    def test_restricted_size_mismatch_raises(self):
+        # A restriction read over the wrong factor: a heart point of a fiber
+        # of three lifts to the solenoid's mark aa, whose fiber is one point.
+        f = AlgebraElement(BrokenHeart(), RestrictRule(identity_element(standard_wedge()), "left"))
+        for fibers in (lambda x: fiber_stacks(f, [x]), lambda x: reference_evaluate(f, x)):
+            with pytest.raises(IncompatibilityError, match="restricted fiber size mismatch"):
+                fibers(PointRef(0, (1.0,)))
 
 
 class TestBatchedVerification:
@@ -473,6 +551,24 @@ class TestBatchedVerification:
         rep = verify_projection(f, [x])  # no numpy warning escapes
         assert math.isnan(rep.max_idempotency_defect)
         assert not rep.passes(1e-12)
+
+
+class TestVerifyMemory:
+    def test_sphere_verification_peak_stays_under_a_megabyte(self):
+        # Samples are resolved VERIFY_CHUNK at a time, so the columns of all
+        # 10,076 samples never exist at once (they would take several MB).
+        model = TwistedSphere()
+        p = twisted_sphere_projection(model)
+        samples = sample_base_points(model, 10000, seed=0)
+        assert len(samples) == 10076
+        verify_projection(p, samples[:VERIFY_CHUNK])  # the charts' cell grids are built once
+        tracemalloc.start()
+        try:
+            assert verify_projection(p, samples).passes(1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestFullness:
@@ -637,15 +733,6 @@ CONTINUITY_MODELS = [
     + [wedge(left, right, lp, rp) for (left, lp), (right, rp) in itertools.product(WEDGE_FACTORS, repeat=2)]
     if any(c.directions for c in m.branch_classes)
 ]
-
-
-def pinch_circles():
-    """Pinches whose split points lie close together, down to 5 TOL apart."""
-    def pinch(a, gaps, sheets):
-        return PinchCircle(tuple(a + sum(gaps[:i]) for i in range(len(gaps) + 1)), sheets)
-
-    return st.builds(pinch, st.floats(0.0, 0.99), st.lists(st.floats(5e-9, 0.01), max_size=3),
-                     st.integers(2, 4))
 
 
 def twisted_spheres():

@@ -4,13 +4,22 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fell_lab.spaces
 from fell_lab.conv import RegionPiece, _meeting
-from orbit_reference import base_of, periods, reference_orbit, two_vertex_cover
+from orbit_reference import (
+    base_of,
+    periods,
+    pinch_circles,
+    quarters_cover,
+    reference_orbit,
+    scalar_orbit,
+    two_vertex_cover,
+)
 from fell_lab.spaces import (
     TOL,
     AffineMap,
@@ -19,6 +28,7 @@ from fell_lab.spaces import (
     CoverModel,
     CoverageError,
     DomainError,
+    Interval,
     InvalidWedgeError,
     ParameterError,
     PinchCircle,
@@ -36,6 +46,7 @@ from fell_lab.spaces import (
     qkey,
     read_json,
     resolve_orbit,
+    resolve_orbits,
     sample_base_points,
     wedge,
     write_json,
@@ -154,10 +165,92 @@ class TestOrbitOracle:
         declared = PinchCircle.transitions
         monkeypatch.setattr(PinchCircle, "transitions",
                             lambda self, chart: asked.append(chart) or declared(self, chart))
-        assert resolve_orbit(model, PointRef(3, (0.3001,))).size == 50
-        assert resolve_orbit(model, PointRef(3, (0.25,))).size == 1  # a split point
-        assert resolve_orbit(model, PointRef(3, (0.9999,))).size == 50
+        points = [PointRef(3, (0.3001,)), PointRef(3, (0.25,)), PointRef(3, (0.9999,))]  # 0.25 is split
+        blocks = resolve_orbits(model, points)
+        assert [(block.size, block.rows.tolist()) for block in blocks] == [(1, [1]), (50, [0, 2])]
         assert asked == [3]
+
+
+# The oracle models, the quarters cover (fibers of sizes 1 to 4) and drawn pinches.
+COLUMN_MODELS = st.sampled_from(ORACLE_MODELS + [quarters_cover()]) | pinch_circles()
+
+
+def band_points(model, points):
+    """Each point moved by up to two TOL on every axis, where it normalizes:
+    into the snap bands round marks and seams and just past them."""
+    out = []
+    for y in points:
+        for step in (-2 * TOL, -TOL, -TOL / 2, TOL / 2, TOL, 2 * TOL):
+            moved = PointRef(y.chart, tuple(c + step for c in y.coord))
+            try:
+                model.normalize(moved)
+            except DomainError:
+                continue
+            out.append(moved)
+    return out
+
+
+class TestColumnarOrbits:
+    """``resolve_orbits`` against the scalar resolver it replaced
+    (``orbit_reference.scalar_orbit``): per point the same fiber, with member
+    coordinates bit for bit and equal keys."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), count=st.integers(0, 600), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_equal_the_scalar_resolver(self, data, count, seed):
+        model = data.draw(COLUMN_MODELS)
+        pool = oracle_points(model, seed % 97, data.draw(st.floats(1e-6, 0.25)))
+        pool += band_points(model, list(model.named_points().values()) + pool[::25])
+        points = random.Random(seed).choices(pool, k=count)  # every chart mixed, in any order
+        blocks = resolve_orbits(model, points)
+        assert [b.size for b in blocks] == sorted({b.size for b in blocks})
+        assert sorted(row for b in blocks for row in b.rows.tolist()) == list(range(count))
+        for block in blocks:
+            assert block.rows.tolist() == sorted(block.rows.tolist())
+            for i, row in enumerate(block.rows.tolist()):
+                want = scalar_orbit(model, points[row])
+                assert block.charts[i].tolist() == [m.chart for m in want.members]
+                assert block.coords[i].tobytes() == np.array([m.coord for m in want.members]).tobytes()
+                assert block.labels()[i] == want.base_label
+                got = block.orbit(i)
+                assert got.keys == want.keys and got.members == want.members
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_coordinate_not_finite_is_an_error(self, bad):
+        # The solenoid reduces the coordinate modulo its period, so both reach the resolver as NaN.
+        with pytest.raises(ValueError, match="not finite"):
+            resolve_orbits(SolenoidAabAb(), [PointRef(0, (0.5,)), PointRef(0, (bad,))])
+
+    def test_no_points_give_no_blocks(self):
+        assert resolve_orbits(standard_wedge(), []) == []
+
+    def test_two_axes_sort_lexicographically(self):
+        # Every shipped fiber's members on one chart differ in the first axis
+        # alone; a map that moves both axes shows that the first one decides.
+        class Sheared(TwistedSphere):
+            def transitions(self, chart):
+                box = (Interval(0.0, 1.0, True, False), Interval(0.6, 0.9, True, False))
+                return (AffineMap(1, box, 1, (1.0, 1.0), (0.1, -0.5)),) if chart == 1 else ()
+
+        y = PointRef(1, (0.3, 0.8))
+        (block,) = resolve_orbits(Sheared(), [y])
+        assert block.coords.tolist() == [[[0.3, 0.8], [0.1 + 0.3, 0.8 - 0.5]]]
+        assert block.orbit(0) == scalar_orbit(Sheared(), y)
+
+    def test_a_member_twice_is_an_error(self):
+        # A map onto the point itself, which a model may not declare: the
+        # fiber through a point of (2, 3) would hold that point twice.
+        class Doubled(SolenoidAabAb):
+            def transitions(self, chart):
+                own = AffineMap(0, (Interval(2.0, 3.0, False, False),), 0, (1.0,), (0.0,))
+                return super().transitions(chart) + (own,)
+
+        points = [PointRef(0, (0.5,)), PointRef(0, (2.5,))]
+        with pytest.raises(ValueError, match="orbit has duplicate members"):
+            resolve_orbits(Doubled(), points)
+        with pytest.raises(ValueError, match="orbit has duplicate members"):
+            scalar_orbit(Doubled(), points[1])
+        assert resolve_orbits(Doubled(), points[:1])[0].size == 2
 
 
 class TestTwistedSphereOrbits:

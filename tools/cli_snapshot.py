@@ -101,6 +101,13 @@ def input_files(where: Path) -> dict[str, str]:
             },
         },
         "cover-identity": {"model": figure_cover, "element": identity},
+        # The unit interval covered 1, 2, 3 and 4 times on its four quarters.
+        "quarters-cover-identity": {
+            "model": {"kind": "cover", "base": "interval", "charts": [
+                {"pieces": [dict(span("x", lo, 1.0), lo_closed=lo == 0.0, hi_closed=True)]}
+                for lo in (0.0, 0.25, 0.5, 0.75)]},
+            "element": identity,
+        },
         # A vertex piece with a span's key.
         "cover-misspelled-piece-key": {
             "model": {"kind": "cover", "base": "aab_ab",
@@ -199,6 +206,8 @@ def cases(files: dict[str, str]) -> list[tuple[str, list[str]]]:
         out.append((f"example-{name}-text", ["example", name]))
     out.append(("example-pinch-m5-k4-json",
                 ["example", "pinch", "--json", "--param", "m=5", "--param", "k=4"]))
+    out.append(("example-pinch-m40-k10-json",
+                ["example", "pinch", "--json", "--param", "m=40", "--param", "k=10"]))
     out.append(("example-twisted-sphere-tol-json",
                 ["example", "twisted-sphere", "--json",
                  "--param", "tol=1e-13", "--param", "samples=3000"]))
@@ -211,6 +220,8 @@ def cases(files: dict[str, str]) -> list[tuple[str, list[str]]]:
     out.append(("verify-aab-ab-indicator-json", ["verify", files["aab-ab-indicator"], "--json"]))
     for name in ("cover-identity", "cover-misspelled-piece-key"):
         out.append((f"verify-{name}-json", ["verify", files[name], "--json"]))
+    out.append(("verify-quarters-cover-identity-json",
+                ["verify", files["quarters-cover-identity"], "--samples", "3000", "--json"]))
     out.append(("verify-wedge-grid-json", ["verify", files["wedge-grid"], "--json"]))
     out.append(("verify-wedge-sphere-equator-json",
                 ["verify", files["wedge-sphere-equator"], "--samples", "2000", "--json"]))
