@@ -493,9 +493,44 @@ class VerificationReport:
 
 
 # Samples are resolved and checked this many at a time: their fibers come as
-# one stack of matrices per size, so that each operator norm is one batched
-# SVD call while the stacks stay small in memory.
+# one stack of matrices per size, screened by cheap norm bounds so that one
+# batched SVD call runs on the few matrices that can set a maximum, while the
+# stacks stay small in memory.
 VERIFY_CHUNK = 256
+
+# A sum of squares below this may have lost squares to underflow, so its
+# square root is not an upper bound; the screen raises it to this first.
+_UNDERFLOW_SQUARE = 2.0 ** -960
+
+
+def _max_opnorm(running: float, d: np.ndarray) -> float:
+    """``np.maximum(running, np.linalg.norm(d, 2, axis=(1, 2)).max())`` for a
+    stack ``d``, with the SVD run only on the matrices that can exceed it.
+
+    A matrix's largest column norm is at most its operator norm, which is at
+    most its Frobenius norm (Golub & Van Loan, *Matrix Computations*, §2.3).
+    A matrix whose Frobenius norm, raised by a relative 1e-9 that covers the
+    rounding of every norm here, is below the stack's largest column norm or
+    not above ``running`` cannot set the maximum; a zero matrix has norm 0.
+    The others go through the same batched call as the whole stack would,
+    so the result is bit-identical.  A bound that is not finite (a square
+    that overflows) screens nothing, and a NaN ``running`` stays.  An entry
+    that is not finite makes the norm NaN, as the SVD of an infinite entry
+    does; LAPACK would reject a NaN entry.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        cols = (np.square(d.real) + np.square(d.imag)).sum(axis=1)  # squared column norms
+        fro = cols.sum(axis=1)
+        if np.isfinite(fro).all():
+            upper = np.sqrt(np.maximum(fro, _UNDERFLOW_SQUARE)) * (1 + 1e-9)
+            upper[~d.any(axis=(1, 2))] = 0.0
+            keep = (upper >= np.sqrt(cols.max())) & (upper > running)
+            if not keep.any():
+                return running
+            d = d[keep]
+        elif not np.isfinite(d).all():
+            return np.maximum(running, math.nan)
+        return np.maximum(running, np.linalg.norm(d, 2, axis=(1, 2)).max())
 
 
 def verify_projection(p: AlgebraElement, samples: list[PointRef]) -> VerificationReport:
@@ -505,23 +540,25 @@ def verify_projection(p: AlgebraElement, samples: list[PointRef]) -> Verificatio
     fullness floor over the same samples is included for convenience.  The
     samples are resolved ``VERIFY_CHUNK`` at a time (``fiber_stacks``), and
     each stack of one fiber size is checked at once; the maxima and the
-    floor are those of the per-sample values.
+    floor are those of the per-sample values.  ``_max_opnorm`` runs the SVD
+    only on the matrices whose norm bounds leave them able to raise a
+    running maximum; the bounds hold with a margin for rounding, so the
+    maxima do not change.
     """
     if not samples:
         raise ValueError("need at least one sample point")
     max_idem, max_sa, floor = 0.0, 0.0, math.inf
 
     def fold(a: np.ndarray) -> None:
-        # np.maximum keeps a NaN defect (a square that overflows) instead of
-        # dropping it, so such a report fails rather than reading 0; the
-        # overflow itself is that NaN, not a warning.
+        # The running maxima keep a NaN defect (a square that overflows)
+        # instead of dropping it, so such a report fails rather than reading
+        # 0; the overflow itself is that NaN, not a warning.
         nonlocal max_idem, max_sa, floor
         if not np.isfinite(a).all():
             raise ValueError("entries must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
-            max_idem = np.maximum(max_idem, np.linalg.norm(a @ a - a, 2, axis=(1, 2)).max())
-            adj = a.conj().transpose(0, 2, 1)
-            max_sa = np.maximum(max_sa, np.linalg.norm(a - adj, 2, axis=(1, 2)).max())
+            max_idem = _max_opnorm(max_idem, a @ a - a)
+        max_sa = _max_opnorm(max_sa, a - a.conj().transpose(0, 2, 1))
         floor = min(floor, float(np.abs(a).max(axis=(1, 2)).min()))
 
     for start in range(0, len(samples), VERIFY_CHUNK):

@@ -268,18 +268,26 @@ class AffineMap(NamedTuple):
 
 
 def _snap(x: float, targets: tuple[float, ...]) -> float | None:
-    """The first target that ``Interval(target, target)`` holds x for, if any."""
-    for tgt in targets:
-        if tgt - TOL <= x <= tgt + TOL:
-            return tgt
+    """The first target that ``Interval(target, target)`` holds x for, if any.
+
+    The targets are sorted and more than 2·TOL apart, so only the two that
+    bisection puts round x can hold it; the lower one is tried first.
+    """
+    i = bisect.bisect_left(targets, x)
+    if i and x <= targets[i - 1] + TOL:
+        return targets[i - 1]
+    if i < len(targets) and targets[i] - TOL <= x:
+        return targets[i]
     return None
 
 
 def _wrap(x: float, period: float, marks: tuple[float, ...]) -> float:
-    """x reduced to [0, period), with the TOL band round a mark, or round
-    the period, snapped onto it."""
+    """x reduced to [0, period), with the TOL band round a mark, or else
+    round the period, snapped onto it."""
     x %= period
-    snapped = _snap(x, marks + (period,))
+    snapped = _snap(x, marks)
+    if snapped is None and period - TOL <= x:
+        snapped = period
     return x if snapped is None else snapped % period
 
 

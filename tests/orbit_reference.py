@@ -22,6 +22,9 @@ fiber members to branch-point lifts: by a periodic sup-distance within
 each chart's period from ``periods``.  That threshold reaches the next mark
 on coarse sequences (two samples from 0.25), so it is an oracle only for
 finer ones.  It reads the scalar oracles above, not the columns.
+
+``linear_wrap`` is the periodic snap as ``normalize`` once made it, by
+scanning every mark and then the period.
 """
 
 from __future__ import annotations
@@ -89,6 +92,16 @@ def pinch_circles():
 
     return st.builds(pinch, st.floats(0.0, 0.99), st.lists(st.floats(5e-9, 0.01), max_size=3),
                      st.integers(2, 4))
+
+
+def linear_wrap(x: float, period: float, marks: tuple[float, ...]) -> float:
+    """x reduced to [0, period), snapped onto the first of the marks, then
+    the period, whose TOL band holds it."""
+    x %= period
+    for tgt in marks + (period,):
+        if tgt - TOL <= x <= tgt + TOL:
+            return tgt % period
+    return x
 
 
 @functools.lru_cache(maxsize=64)

@@ -292,6 +292,25 @@ class TestVerifyCommand:
         report = json.loads(captured.out, parse_constant=reject)
         assert report["max_idempotency_defect"] is None
 
+    def test_nan_square_fails_without_a_traceback(self, tmp_path, capsys):
+        # With complex entries near 1e200, a @ a - a holds NaN, which the SVD
+        # rejects ("SVD did not converge"); the defect is NaN and the check fails.
+        big = [1e200, 1e200]
+        payload = {
+            "model": {"kind": "pinch", "split_points": [0.5], "sheets": 2},
+            "element": {
+                "rule": "grid",
+                "points": [{"chart": 0, "coord": [0.25], "matrix": [[big, big], [big, big]]}],
+            },
+        }
+        path = write_json(tmp_path, "nan.json", payload)
+        assert main(["verify", path, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["max_idempotency_defect"] is None
+        assert report["max_selfadjoint_defect"] == pytest.approx(4e200)  # a - a^H is 2e200j everywhere
+
     def test_model_mismatch_exit_2(self, tmp_path, capsys):
         payload = {
             "model": {"kind": "solenoid_aab_ab"},

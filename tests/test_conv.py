@@ -41,6 +41,7 @@ from fell_lab.conv import (
     verify_fullness_witness,
     verify_projection,
     zero_element,
+    _max_opnorm,
 )
 from orbit_reference import (
     pinch_circles,
@@ -64,6 +65,7 @@ from fell_lab.spaces import (
     aab_ab_figure_cover,
     approach_sequences,
     resolve_orbit,
+    resolve_orbits,
     sample_base_points,
     wedge,
 )
@@ -514,12 +516,13 @@ class TestBatchedVerification:
         # would show first; plain random matrices give large defects.
         model = standard_wedge()
         rng = np.random.default_rng(seed)
+        samples = sample_base_points(model, 800, seed=seed % 5)
         points = {}
-        for x in sample_base_points(model, 800, seed=seed % 5):
-            points.setdefault(resolve_orbit(model, x).base_label, x)
+        for row, label, size in sorted((row, label, block.size) for block in resolve_orbits(model, samples)
+                                       for row, label in zip(block.rows.tolist(), block.labels())):
+            points.setdefault(label, (samples[row], size))
         values = []
-        for x in list(points.values())[:count]:
-            d = resolve_orbit(model, x).size
+        for x, d in list(points.values())[:count]:
             if near_projection:
                 q, _ = np.linalg.qr(random_matrix(rng, d))
                 diag = rng.integers(0, 2, d)
@@ -551,6 +554,97 @@ class TestBatchedVerification:
         rep = verify_projection(f, [x])  # no numpy warning escapes
         assert math.isnan(rep.max_idempotency_defect)
         assert not rep.passes(1e-12)
+
+
+def _full_max_opnorm(running, d):
+    """Oracle: every matrix of the stack through the SVD, where LAPACK takes
+    it; it rejects a NaN entry, whose norm is NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return np.maximum(running, np.linalg.norm(d, 2, axis=(1, 2)).max())
+        except np.linalg.LinAlgError:
+            assert np.isnan(d).any()
+            return np.maximum(running, math.nan)
+
+
+def same_bits(a, b) -> bool:
+    return bool(np.isnan(a) and np.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@st.composite
+def defect_stacks(draw):
+    """(m, k, k) stacks as ``verify_projection`` forms them, from matrices a
+    at a drawn scale: a @ a - a, a - a^H (zero for Hermitian a) or a itself."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "zero", "hermitian", "near-projection"]))
+    a = rng.standard_normal((m, k, k)) + 1j * rng.standard_normal((m, k, k))
+    if kind == "zero":
+        a[:] = 0
+    elif kind == "hermitian":
+        a = a + a.conj().transpose(0, 2, 1)
+    elif kind == "near-projection":
+        q, _ = np.linalg.qr(a)
+        diag = rng.integers(0, 2, (m, 1, k))
+        a = (q * diag) @ q.conj().transpose(0, 2, 1) + 1e-13 * a
+    if draw(st.booleans()):  # a few rows stand out, so the screen has work
+        rows = rng.integers(0, m, draw(st.integers(1, 3)))
+        a[rows] *= draw(st.sampled_from([2.0, 1e3]))
+    a = a * draw(st.sampled_from([1.0, 1e-170, 1e-9, 1e100, 1e200, 1e200 + 1e200j]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = draw(st.sampled_from([
+            lambda: a @ a - a, lambda: a - a.conj().transpose(0, 2, 1), lambda: a]))()
+    return d
+
+
+class TestScreenedNorms:
+    """``_max_opnorm`` runs the SVD only where the norm bounds allow a new
+    maximum; it must equal the SVD of every matrix bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=defect_stacks())
+    def test_equals_the_full_svd(self, d):
+        top = float(_full_max_opnorm(0.0, d))
+        for running in (0.0, math.nan, 1e155, 1e300, math.inf, top, math.nextafter(top, math.inf),
+                      math.nextafter(top, 0.0), 0.5 * top, 2.0 * top):
+            assert same_bits(_max_opnorm(running, d), _full_max_opnorm(running, d)), running
+
+    @pytest.mark.parametrize("running", [0.0, 1e-300, 1.0, 1e155, 1e300, math.nan])
+    @pytest.mark.parametrize("entry", [0.0, 1e-170, 1.0, 1e100, 1e200, -1e200, 1e200 + 1e200j])
+    def test_uniform_stacks(self, running, entry):
+        # Squares that underflow (1e-170), overflow with a finite norm (1e100)
+        # and infinite or NaN entries of a @ a - a (1e200), with running
+        # maxima up past where squaring them overflows.
+        for k in (1, 2, 4):
+            a = np.full((5, k, k), entry, dtype=complex)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for d in (a @ a - a, a - a.conj().transpose(0, 2, 1), a):
+                    assert same_bits(_max_opnorm(running, d), _full_max_opnorm(running, d))
+
+    def test_margin_covers_rounding(self):
+        # The SVD puts this norm two ulps above the square root of the sum of
+        # squares, so a screen that trusted the bound as computed would keep
+        # a running maximum just under the norm.
+        d = np.array([[[-3.011450075362948 + 0.8424973630848748j]]])
+        norm = float(np.linalg.norm(d, 2, axis=(1, 2))[0])
+        for running in (0.0, math.nextafter(norm, 0.0), math.nextafter(math.nextafter(norm, 0.0), 0.0)):
+            assert same_bits(_max_opnorm(running, d), _full_max_opnorm(running, d))
+
+    def test_runs_the_svd_on_few_sphere_fibers(self, monkeypatch):
+        model = TwistedSphere()
+        p = twisted_sphere_projection(model, perturb_first_diag=1e-7)
+        samples = sample_base_points(model, 3000, seed=1)
+        expected = _verify_projection_reference(p, samples)
+        rows = []
+        norm = np.linalg.norm
+
+        def counted(x, *args, **kwargs):
+            rows.append(len(x))
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        assert verify_projection(p, samples) == expected
+        assert 0 < sum(rows) < len(samples) // 10
 
 
 class TestVerifyMemory:

@@ -13,6 +13,7 @@ import fell_lab.spaces
 from fell_lab.conv import RegionPiece, _meeting
 from orbit_reference import (
     base_of,
+    linear_wrap,
     periods,
     pinch_circles,
     quarters_cover,
@@ -422,6 +423,29 @@ class TestPinch:
         orbit = resolve_orbit(model, PointRef(sheet, (t,)))
         for m in orbit.members:
             assert_orbits_close(model, resolve_orbit(model, m), orbit, tol=3e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        start=st.floats(0.0, 0.09),
+        gaps=st.lists(st.floats(5e-9, 0.003), max_size=300),
+        last=st.sampled_from([(), (1 - 2 * TOL,), (1 - TOL,), (1 - 0.5 * TOL,)]),
+        data=st.data(),
+    )
+    def test_snap_bisects_like_the_linear_scan(self, start, gaps, last, data):
+        # Split points down to 5 TOL apart, up to 302 of them, the last one
+        # perhaps in the band round 1, where it wins over the period; points
+        # in and just outside the TOL band round a split point, 0 and 1.
+        assume(not last or start > 1e-8)
+        model = PinchCircle(tuple(itertools.accumulate(gaps, initial=start)) + last, 2)
+        marks = model.split_points
+        for _ in range(10):
+            centre = data.draw(st.sampled_from(marks + (0.0, 1.0)))
+            offset = data.draw(st.sampled_from([-TOL, TOL, 0.0, -2 * TOL, 2 * TOL]) | st.floats(-2 * TOL, 2 * TOL))
+            for x in (centre + offset, math.nextafter(centre + offset, math.inf),
+                      math.nextafter(centre + offset, -math.inf)):
+                expected = linear_wrap(x, 1.0, marks)
+                assert fell_lab.spaces._wrap(x, 1.0, marks) == expected
+                assert model.normalize(PointRef(1, (x,))) == PointRef(1, (expected,))
 
 
 class TestWedge:

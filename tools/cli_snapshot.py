@@ -164,6 +164,12 @@ def input_files(where: Path) -> dict[str, str]:
         },
         "grid-no-points": {"model": {"kind": "solenoid_aab_ab"},
                            "element": {"rule": "grid", "points": []}},
+        # One-point grids that exit 1: a @ a - a is infinite at 1e200, so the
+        # defect is NaN (`null`), and finite at 1e100 though its square is not.
+        "grid-square-infinite": {"model": {"kind": "solenoid_aab_ab"}, "element": {
+            "rule": "grid", "points": [{"chart": 0, "coord": [2.5], "matrix": [[[1e200, 0.0]]]}]}},
+        "grid-square-finite": {"model": {"kind": "solenoid_aab_ab"}, "element": {
+            "rule": "grid", "points": [{"chart": 0, "coord": [2.5], "matrix": [[[1e100, 0.0]]]}]}},
         "region-unknown-chart": {"model": {"kind": "solenoid_aab_ab"},
                                  "element": indicator([(7, (0.1, 0.2))])},
         "wedge-grid": workloads.grid_file(300, False, random.Random(1)).data,
@@ -227,7 +233,8 @@ def cases(files: dict[str, str]) -> list[tuple[str, list[str]]]:
                 ["verify", files["wedge-sphere-equator"], "--samples", "2000", "--json"]))
     out.append(("verify-wedge-grid-perturbed-json",
                 ["verify", files["wedge-grid-perturbed"], "--json"]))
-    for name in ("sphere-equator-boxes", "solenoid-thin-boxes", "cover-second-lift-of-ab"):
+    for name in ("sphere-equator-boxes", "solenoid-thin-boxes", "cover-second-lift-of-ab",
+                 "grid-square-infinite", "grid-square-finite"):
         out.append((f"verify-{name}-json", ["verify", files[name], "--json"]))
     for name in ("cover-gap-at-half", "cover-span-outside-base", "cover-chart-holds-point-twice",
                  "grid-no-points", "region-unknown-chart"):
