@@ -7,7 +7,7 @@ multiplication,
 
     (f * g)(y1, y2) = sum over z in the fiber of f(y1, z) g(z, y2),
 
-so ``convolve`` multiplies fiber matrices, ``adjoint`` conjugate-transposes
+so a ``product`` multiplies fiber matrices, ``adjoint`` conjugate-transposes
 them, and the projection/fullness checks reduce to small dense linear
 algebra (operator norms are largest singular values of matrices of size at
 most four).
@@ -36,7 +36,7 @@ import inspect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from . import spaces
 from .spaces import (
     AffineMap,
     ApproachSequence,
-    DomainError,
     Interval,
     Orbit,
     OrbitBlock,
@@ -384,11 +383,6 @@ def _entries_at(f: AlgebraElement, block: OrbitBlock) -> np.ndarray:
     raise TypeError(f"unknown rule {rule!r}")
 
 
-def convolve(f: AlgebraElement, g: AlgebraElement, x: PointRef) -> FiberMatrix:
-    """Convolution at one base point: the product of the fiber matrices."""
-    return evaluate(product(f, g), x)
-
-
 def indicator_projection(model: SpaceModel, region: Region) -> AlgebraElement:
     """The diagonal indicator of a section over a compact open Hausdorff set.
 
@@ -439,11 +433,8 @@ def _meeting(model: SpaceModel, m: AffineMap, a: RegionPiece, b: RegionPiece) ->
             return None
         axes.append(((lo + hi) / 2, lo, math.nextafter(hi, -math.inf)))
     for coord in itertools.product(*axes):
-        try:
-            y = model.normalize(PointRef(m.source, coord))
-        except DomainError:
-            continue
-        if a.contains(y) and m.covers(y) and b.contains(m(y)):
+        y = model.try_normalize(PointRef(m.source, coord))
+        if y is not None and a.contains(y) and m.covers(y) and b.contains(m(y)):
             return y
     return None
 
@@ -533,6 +524,18 @@ def _max_opnorm(running: float, d: np.ndarray) -> float:
         return np.maximum(running, np.linalg.norm(d, 2, axis=(1, 2)).max())
 
 
+def _checked_stacks(p: AlgebraElement, samples: list[PointRef]) -> Iterator[np.ndarray]:
+    """The element's matrix stacks over the samples, ``VERIFY_CHUNK`` samples
+    at a time; ``ValueError`` for no samples or an entry that is not finite."""
+    if not samples:
+        raise ValueError("need at least one sample point")
+    for start in range(0, len(samples), VERIFY_CHUNK):
+        for _, a in fiber_stacks(p, samples[start:start + VERIFY_CHUNK]):
+            if not np.isfinite(a).all():
+                raise ValueError("entries must be finite")
+            yield a
+
+
 def verify_projection(p: AlgebraElement, samples: list[PointRef]) -> VerificationReport:
     """Operator-norm defects of idempotency and self-adjointness over samples.
 
@@ -545,25 +548,15 @@ def verify_projection(p: AlgebraElement, samples: list[PointRef]) -> Verificatio
     running maximum; the bounds hold with a margin for rounding, so the
     maxima do not change.
     """
-    if not samples:
-        raise ValueError("need at least one sample point")
     max_idem, max_sa, floor = 0.0, 0.0, math.inf
-
-    def fold(a: np.ndarray) -> None:
+    for a in _checked_stacks(p, samples):
         # The running maxima keep a NaN defect (a square that overflows)
         # instead of dropping it, so such a report fails rather than reading
         # 0; the overflow itself is that NaN, not a warning.
-        nonlocal max_idem, max_sa, floor
-        if not np.isfinite(a).all():
-            raise ValueError("entries must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
             max_idem = _max_opnorm(max_idem, a @ a - a)
         max_sa = _max_opnorm(max_sa, a - a.conj().transpose(0, 2, 1))
         floor = min(floor, float(np.abs(a).max(axis=(1, 2)).min()))
-
-    for start in range(0, len(samples), VERIFY_CHUNK):
-        for _, a in fiber_stacks(p, samples[start:start + VERIFY_CHUNK]):
-            fold(a)
     return VerificationReport(
         max_idempotency_defect=float(max_idem),
         max_selfadjoint_defect=float(max_sa),
@@ -578,11 +571,10 @@ def verify_fullness_witness(p: AlgebraElement, samples: list[PointRef]) -> float
 
     A strictly positive floor over a stratified sample set is the numerical
     witness that the element does not vanish over any base point; zero means
-    some sampled fiber matrix is identically zero.
+    some sampled fiber matrix is identically zero.  The samples are taken
+    in stacks, as ``verify_projection`` takes them.
     """
-    if not samples:
-        raise ValueError("need at least one sample point")
-    return min(evaluate(p, x).max_abs() for x in samples)
+    return min(float(np.abs(a).max(axis=(1, 2)).min()) for a in _checked_stacks(p, samples))
 
 
 def _aitken(seq: list[complex]) -> list[complex]:
@@ -647,11 +639,10 @@ def check_branch_continuity(
         d_prev, d_last = seq.distances[-2:]
         for i, (p, q, chart) in enumerate(zip(*block.coords[-2:].tolist(), block.charts[-1].tolist())):
             at_zero = tuple([b + (b - a) * d_last / (d_prev - d_last) for a, b in zip(p, q)])
-            try:
-                name, a = lifts[qkey(model.normalize(PointRef(chart, at_zero)))]
-            except (DomainError, KeyError):  # no limit in the class
-                continue
-            matched[name].append((i, a))
+            y = model.try_normalize(PointRef(chart, at_zero))
+            if y is not None and qkey(y) in lifts:  # else no limit in the class
+                name, a = lifts[qkey(y)]
+                matched[name].append((i, a))
         defect = 0.0
         for name, idxs in matched.items():
             if not idxs:

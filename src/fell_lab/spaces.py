@@ -4,9 +4,9 @@ locally Hausdorff spaces.
 A model describes a total space Y as a finite list of charts (intervals,
 circles, sphere patches) and declares its fibers as data: per chart, the
 ``transitions``, partial affine maps that carry a point to the other
-members of its fiber, and the ``partners``, the same kind of maps between
-base points that no open sets separate (by default, from the listed branch
-classes).  The groupoid R(psi) = {(x, y) : psi(x) = psi(y)} is generated by
+members of its fiber.  The ``partners``, maps between base points that no
+open sets separate, are derived from them at the open ends of their
+domains.  The groupoid R(psi) = {(x, y) : psi(x) = psi(y)} is generated by
 the transitions.  Everything downstream reads this surface:
 
 * ``resolve_orbits`` applies the transitions to many normalized points in
@@ -34,7 +34,6 @@ from __future__ import annotations
 import bisect
 import functools
 import inspect
-import itertools
 import math
 import random
 import types
@@ -293,9 +292,9 @@ def _wrap(x: float, period: float, marks: tuple[float, ...]) -> float:
 
 @dataclass(frozen=True)
 class BranchClass:
-    """A finite set of mutually non-separated base points, by point name,
-    with the directions into it as (direction name, distance -> sample)
-    pairs."""
+    """Named base points that the listed directions approach, with the
+    directions as (direction name, distance -> sample) pairs; the members
+    are the points that ``check_branch_continuity`` matches limits against."""
 
     name: str
     members: tuple[str, ...]
@@ -342,19 +341,36 @@ class ApproachSequence:
             raise ValueError("distances must be strictly decreasing and positive")
 
 
+def _per_chart(build: Callable) -> Callable:
+    """A model's method of one chart, computed once per model and chart."""
+
+    @functools.wraps(build)
+    def cached(self: SpaceModel, chart: int):
+        memo = self.__dict__.setdefault("_chart_memo", {})  # models are frozen: past __setattr__
+        if (build, chart) not in memo:
+            memo[build, chart] = build(self, chart)
+        return memo[build, chart]
+
+    return cached
+
+
 class SpaceModel:
     """Shared surface of all models; subclasses fill in the geometry."""
 
     kind: ClassVar[str]  # the file-format name, declared once per model class
     chart_count: int  # charts are 0 .. chart_count - 1; a class attribute or a property
-
-    @property
-    def branch_classes(self) -> tuple[BranchClass, ...]:
-        raise NotImplementedError
+    branch_classes: tuple[BranchClass, ...] = ()  # none by default; a property where listed
 
     def normalize(self, y: PointRef) -> PointRef:
         """Validate a point and reduce its coordinates to canonical range."""
         raise NotImplementedError
+
+    def try_normalize(self, y: PointRef) -> PointRef | None:
+        """``normalize(y)``, or None if y is no point of the model."""
+        try:
+            return self.normalize(y)
+        except DomainError:
+            return None
 
     def transitions(self, chart: int) -> tuple[AffineMap, ...]:
         """The maps from ``chart`` onto the other members of a fiber: they
@@ -362,44 +378,51 @@ class SpaceModel:
         is the identity, and no normalized point is in two unequal domains."""
         return ()
 
+    @_per_chart
     def partners(self, chart: int) -> tuple[AffineMap, ...]:
-        """The maps out of ``chart`` between mutually non-separated points:
-        by default, from every lift of each member of a branch class to
-        every lift of each other member, as constant maps."""
-        named = self.named_points()
-        out = []
-        for c in self.branch_classes:
-            lifts = [resolve_orbit(self, named[m]).members for m in c.members]
-            for i, j in itertools.permutations(range(len(lifts)), 2):
-                out += [AffineMap(chart, tuple(Interval(x, x) for x in a.coord), b.chart,
-                                  (0.0,) * len(b.coord), b.coord)
-                        for a in lifts[i] if a.chart == chart for b in lifts[j]]
-        return tuple(out)
+        """The maps out of ``chart`` between points that no open sets separate.
 
-    @functools.cached_property  # chart -> its cell grid, filled on first use
-    def _grids(self) -> dict[int, tuple]:
-        return {}
+        A sequence that runs into an open end e of a transition m's domain
+        converges to e and to m(e).  So per open end of each axis of each
+        domain, a probe TOL/2 past the end, its other axes at the centre of
+        the box, is normalized into the end's snap band: that is e.  If e
+        stays in ``chart`` and m(e) normalizes to a point outside the fiber
+        of e, m with that axis cut down to e's coordinate is a partner map.
+        """
+        ends = []  # per open end of an axis of a domain: its map, the end e and the map cut down to e
+        for m in self.transitions(chart):
+            centre = [(iv.lo + iv.hi) / 2 for iv in m.domain]
+            for a, iv in enumerate(m.domain):
+                for x, closed in ((iv.lo - TOL / 2, iv.lo_closed), (iv.hi + TOL / 2, iv.hi_closed)):
+                    probe = PointRef(chart, (*centre[:a], x, *centre[a + 1:]))
+                    e = None if closed else self.try_normalize(probe)
+                    if e is not None and e.chart == chart:
+                        at_e = (*m.domain[:a], Interval(e.coord[a], e.coord[a]), *m.domain[a + 1:])
+                        ends.append((m, e, m._replace(domain=at_e)))
+        fibers = {row: set(block.orbit(i).keys) for block in resolve_orbits(self, [e for _, e, _ in ends])
+                  for i, row in enumerate(block.rows.tolist())}  # per end, the keys of its fiber
+        return tuple(dict.fromkeys(  # each map once, in order
+            cut for row, (m, e, cut) in enumerate(ends)
+            if (t := self.try_normalize(m(e))) is not None and qkey(t) not in fibers[row]))
 
+    @_per_chart
     def _cells(self, chart: int) -> tuple:
         """The cell grid of a chart's transitions: per axis the sorted ends of
         their domains, a table from each cell to its case (a domain) or -1, and
         per case its image count and its (targets, scales, shifts), padded."""
-        grid = self._grids.get(chart)
-        if grid is None:
-            by_domain: dict[tuple, list[AffineMap]] = {}
-            for m in self.transitions(chart):
-                by_domain.setdefault(m.domain, []).append(m)
-            ends = [[iv.bounds for iv in box] for box in by_domain] or [[()]]
-            edges = [np.array(sorted({b for bounds in axis for b in bounds})) for axis in zip(*ends)]
-            table = np.full([len(e) + 1 for e in edges], -1)
-            for j in reversed(range(len(by_domain))):  # the first domain wins a shared snap band
-                table[tuple(slice(*np.searchsorted(e, b, "right")) for e, b in zip(edges, ends[j]))] = j
-            maps = list(by_domain.values()) + [[]]  # case -1 is the last: no images
-            width, blank = max(map(len, maps)), (0.0,) * len(edges)
-            images = [np.array([[getattr(m, f) for m in ms] + [pad] * (width - len(ms)) for ms in maps])
-                      for f, pad in (("target", 0), ("scale", blank), ("shift", blank))]
-            grid = self._grids[chart] = (edges, table, np.array([len(ms) for ms in maps]), images)
-        return grid
+        by_domain: dict[tuple, list[AffineMap]] = {}
+        for m in self.transitions(chart):
+            by_domain.setdefault(m.domain, []).append(m)
+        ends = [[iv.bounds for iv in box] for box in by_domain] or [[()]]
+        edges = [np.array(sorted({b for bounds in axis for b in bounds})) for axis in zip(*ends)]
+        table = np.full([len(e) + 1 for e in edges], -1)
+        for j in reversed(range(len(by_domain))):  # the first domain wins a shared snap band
+            table[tuple(slice(*np.searchsorted(e, b, "right")) for e, b in zip(edges, ends[j]))] = j
+        maps = list(by_domain.values()) + [[]]  # case -1 is the last: no images
+        width, blank = max(map(len, maps)), (0.0,) * len(edges)
+        images = [np.array([[getattr(m, f) for m in ms] + [pad] * (width - len(ms)) for ms in maps])
+                  for f, pad in (("target", 0), ("scale", blank), ("shift", blank))]
+        return edges, table, np.array([len(ms) for ms in maps]), images
 
     def named_points(self) -> dict[str, PointRef]:
         return {}
@@ -543,8 +566,8 @@ class SolenoidAabAb(SpaceModel):
     The covering circle has period 3 with marked points at 0 (ab), 1 (aa)
     and 2 (ba).  The arcs (0,1) and (1,2) both map onto the first circle of
     the base ("edge a", doubly covered), the arc (2,3) maps onto the second
-    ("edge b", singly covered), and the marks map to the three pairwise
-    non-separated base points.
+    ("edge b", singly covered), and the marks map to the split points: aa
+    is not separated from ab or from ba, and ab and ba are separated.
     """
 
     kind: ClassVar[str] = "solenoid_aab_ab"
@@ -660,10 +683,6 @@ class BrokenHeart(SpaceModel):
         return pts
 
 
-# The two halves of U's angle, [0, pi) and [pi, 2 pi), which a half-turn swaps.
-_HALF_TURNS = (Interval(0.0, math.pi, True, False), Interval(math.pi, TWO_PI, True, False))
-
-
 @dataclass(frozen=True)
 class TwistedSphere(SpaceModel):
     """Sphere quotient whose equator wraps twice, covered by three patches.
@@ -729,9 +748,10 @@ class TwistedSphere(SpaceModel):
         """Off the equator, (theta, z) on U is (theta +- pi, z) on U and
         (2 theta, z) on V1 and V2; the poles of V1 and V2 are each other."""
         sides = (Interval(-1.0, 0.0, False, False), Interval(0.0, 1.0, False, False))
+        halves = (Interval(0.0, math.pi, True, False), Interval(math.pi, TWO_PI, True, False))
         if chart == 0:  # on the i-th half turn: 2 theta is taken modulo 2 pi
             return tuple(AffineMap(0, (half, z), t, (scale, 1.0), (shift, 0.0))
-                         for i, half in enumerate(_HALF_TURNS) for z in sides for t, scale, shift
+                         for i, half in enumerate(halves) for z in sides for t, scale, shift
                          in ((0, 1.0, math.pi - i * TWO_PI), (1, 2.0, -i * TWO_PI), (2, 2.0, -i * TWO_PI)))
         if chart not in (1, 2):
             return ()
@@ -740,13 +760,6 @@ class TwistedSphere(SpaceModel):
                                (shift, 0.0)) for z in sides for t, scale, shift in images) + tuple(
             AffineMap(chart, (Interval(0.0, 0.0), Interval(z, z)), 3 - chart, (1.0, 1.0), (0.0, 0.0))
             for z in (-1.0, 1.0))
-
-    def partners(self, chart: int) -> tuple[AffineMap, ...]:
-        """The whole equator is the branch locus, not only the listed pair:
-        (theta, 0) and (theta +- pi, 0) on U are not separated."""
-        return super().partners(chart) + tuple(
-            AffineMap(0, (half, Interval(0.0, 0.0)), 0, (1.0, 1.0), (math.pi - i * TWO_PI, 0.0))
-            for i, half in enumerate(_HALF_TURNS) if chart == 0)
 
     def sample_points(self, n: int, seed: int = 0) -> list[PointRef]:
         rng = random.Random(seed)
@@ -925,25 +938,23 @@ class WedgeModel(SpaceModel):
         if y.chart < 0:
             raise DomainError(f"invalid chart {y.chart}")
         if y.chart < self.offset:
-            side, local, glue = "left", self.left.normalize(y), self.left_point
+            side, local, glue = "left", self.left.normalize(y), self._glue_keys[0]
         else:
             local = self.right.normalize(PointRef(y.chart - self.offset, y.coord))
-            side, glue = "right", self.right_point
-        return self.left_point if qkey(local) == qkey(glue) else self.from_factor(side, local)
+            side, glue = "right", self._glue_keys[1]
+        return self.left_point if qkey(local) == glue else self.from_factor(side, local)
+
+    @functools.cached_property  # read on every normalize
+    def _glue_keys(self) -> tuple[tuple, tuple]:
+        return qkey(self.left_point), qkey(self.right_point)
 
     def transitions(self, chart: int) -> tuple[AffineMap, ...]:
-        return self._factor_maps("transitions", chart)
-
-    def partners(self, chart: int) -> tuple[AffineMap, ...]:
-        return self._factor_maps("partners", chart)
-
-    def _factor_maps(self, maps: str, chart: int) -> tuple[AffineMap, ...]:
-        """A factor's maps of one kind, with the right factor's charts shifted."""
+        """A factor's transitions, with the right factor's charts shifted."""
         if chart < self.offset:
-            return getattr(self.left, maps)(chart)
+            return self.left.transitions(chart)
         k = self.offset
         return tuple(m._replace(source=m.source + k, target=m.target + k)
-                     for m in getattr(self.right, maps)(chart - k))
+                     for m in self.right.transitions(chart - k))
 
     def sample_points(self, n: int, seed: int = 0) -> list[PointRef]:
         half = max(n // 2, 2)
@@ -1018,7 +1029,6 @@ class BaseSpace:
 
     strata: tuple[tuple[str, float, float, bool, bool], ...]
     vertices: tuple[str, ...]
-    branch: tuple[BranchClass, ...] = ()
 
     def grid(self, per_stratum: int) -> list[tuple]:
         pts: list[tuple] = [(v,) for v in self.vertices]
@@ -1034,13 +1044,12 @@ class BaseSpace:
 
 
 # The bases a cover names: the closed unit interval (one stratum, no vertices,
-# Hausdorff), and two open edges a, b plus the split triple point ab/ba/aa.
+# Hausdorff), and two open edges a, b plus the split points ab, ba, aa.
 _BASES = {
     "interval": BaseSpace(strata=(("x", 0.0, 1.0, True, True),), vertices=()),
     "aab_ab": BaseSpace(
         strata=(("a", 0.0, 1.0, False, False), ("b", 0.0, 1.0, False, False)),
         vertices=("ab", "ba", "aa"),
-        branch=(BranchClass("wedge", ("ab", "ba", "aa")),),
     ),
 }
 
@@ -1083,10 +1092,6 @@ class CoverModel(SpaceModel):
     def chart_count(self) -> int:
         return len(self.charts)
 
-    @property
-    def branch_classes(self) -> tuple[BranchClass, ...]:
-        return self.base_space.branch
-
     def _lift(self, x: tuple) -> PointRef | None:
         """The copy of the base point x in the first chart that holds it, if any."""
         return next((PointRef(j, found[:1]) for j, cc in enumerate(self.charts)
@@ -1122,18 +1127,21 @@ class CoverModel(SpaceModel):
                 raise CoverageError(f"base point {x!r} is not covered by any chart")
         return out
 
-    @functools.cached_property  # per chart, the sorted bounds of its copies' intervals
-    def _bounds(self) -> tuple[list[tuple[float, float]], ...]:
-        return tuple(sorted(iv.bounds for iv, _, _ in copies.values()) for copies in self._copies)
+    @functools.cached_property  # per chart, its cells' sorted bounds, each with the cell's point or None
+    def _bounds(self) -> tuple[list[tuple], ...]:
+        return tuple(sorted(iv.bounds + (None if run else s,) for (_, run), (iv, _, s) in copies.items())
+                     for copies in self._copies)
 
     def normalize(self, y: PointRef) -> PointRef:
+        """y, or the point of its cell (a vertex, a span end or a closed
+        stratum end) if y lies in that point's TOL band."""
         if not (0 <= y.chart < len(self.charts)) or len(y.coord) != 1:
             raise DomainError(f"invalid point {y!r} for cover model")
         bounds = self._bounds[y.chart]  # the one interval that may hold y starts last at or below it
         i = bisect.bisect_right(bounds, (y.coord[0], math.inf)) - 1
         if i < 0 or not y.coord[0] < bounds[i][1]:
             raise DomainError(f"coordinate {y.coord[0]} outside cover chart")
-        return y
+        return y if bounds[i][2] is None else PointRef(y.chart, bounds[i][2:])
 
     def transitions(self, chart: int) -> tuple[AffineMap, ...]:
         """Per cell that ``chart`` holds, the maps s -> +-s + shift from its

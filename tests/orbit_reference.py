@@ -25,11 +25,15 @@ finer ones.  It reads the scalar oracles above, not the columns.
 
 ``linear_wrap`` is the periodic snap as ``normalize`` once made it, by
 scanning every mark and then the period.
+
+``declared_partners`` gives the partner maps as models once declared them,
+before ``SpaceModel.partners`` derived them from the transitions.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -51,10 +55,12 @@ from fell_lab.conv import (
 )
 from fell_lab.spaces import (
     TOL,
+    AffineMap,
     BrokenHeart,
     CoverChart,
     CoverModel,
     DomainError,
+    Interval,
     Orbit,
     PinchCircle,
     PointRef,
@@ -92,6 +98,41 @@ def pinch_circles():
 
     return st.builds(pinch, st.floats(0.0, 0.99), st.lists(st.floats(5e-9, 0.01), max_size=3),
                      st.integers(2, 4))
+
+
+def twisted_spheres():
+    """Spheres with the listed equator pair anywhere, on the seams at 0 and pi too."""
+    seams = st.sampled_from([0.0, math.pi, 2 * math.pi - 1e-12])
+    return st.builds(TwistedSphere, st.floats(0.0, 2 * math.pi) | seams)
+
+
+def declared_partners(model, chart: int) -> tuple[AffineMap, ...]:
+    """The partner maps out of a chart as they were declared: constant maps
+    from every lift of each member of a branch class to every lift of each
+    other member, plus the sphere's theta -> theta +- pi at z = 0.  A
+    cover of ``aab_ab`` took the class (ab, ba, aa) from its base, and a
+    wedge took its factors' maps, with the right factor's charts shifted."""
+    if isinstance(model, WedgeModel):
+        if chart < model.offset:
+            return declared_partners(model.left, chart)
+        k = model.offset
+        return tuple(m._replace(source=m.source + k, target=m.target + k)
+                     for m in declared_partners(model.right, chart - k))
+    classes = [c.members for c in model.branch_classes]
+    if isinstance(model, CoverModel) and model.base == "aab_ab":
+        classes.append(("ab", "ba", "aa"))
+    out = []
+    for members in classes:
+        lifts = [scalar_orbit(model, model.named_point(m)).members for m in members]
+        for i, j in itertools.permutations(range(len(lifts)), 2):
+            out += [AffineMap(chart, tuple(Interval(x, x) for x in a.coord), b.chart,
+                              (0.0,) * len(b.coord), b.coord)
+                    for a in lifts[i] if a.chart == chart for b in lifts[j]]
+    if isinstance(model, TwistedSphere) and chart == 0:
+        halves = (Interval(0.0, math.pi, True, False), Interval(math.pi, TWO_PI, True, False))
+        out += [AffineMap(0, (half, Interval(0.0, 0.0)), 0, (1.0, 1.0), (math.pi - i * TWO_PI, 0.0))
+                for i, half in enumerate(halves)]
+    return tuple(out)
 
 
 def linear_wrap(x: float, period: float, marks: tuple[float, ...]) -> float:

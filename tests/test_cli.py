@@ -8,6 +8,7 @@ import pytest
 
 from fell_lab.cli import main
 from fell_lab.scenarios import ScenarioSpec, UnknownScenarioError, run_scenario
+from fell_lab.spaces import aab_ab_figure_cover
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -266,6 +267,16 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert report["samples_used"] == 2
+
+    def test_cover_grid_values_within_tol_of_a_vertex_are_one_point(self, tmp_path, capsys):
+        # The vertex ab sits at 0.5 on the figure cover's chart 0, and normalize
+        # snaps 0.5 + 0.8 TOL onto it, so the file gives two values at ab.
+        points = [{"chart": 0, "coord": [s], "matrix": [[[1.0, 0.0]]]} for s in (0.5, 0.5 + 8e-10)]
+        payload = {"model": aab_ab_figure_cover().to_dict(), "element": {"rule": "grid", "points": points}}
+        path = write_json(tmp_path, "grid.json", payload)
+        assert main(["verify", path, "--json"]) == 2
+        err = capsys.readouterr().err
+        assert "duplicate grid value" in err and len(err.splitlines()) == 1
 
     def test_overflowing_square_fails_quietly_with_strict_json(self, tmp_path, capsys):
         # 1e200 is finite, its square is not: the defect is NaN and the check

@@ -13,6 +13,7 @@ from fell_lab.conv import (
     CONTINUITY_TOL,
     VERIFY_CHUNK,
     AlgebraElement,
+    GridRule,
     IncompatibilityError,
     Interval,
     RestrictRule,
@@ -26,7 +27,6 @@ from fell_lab.conv import (
     add,
     adjoint,
     check_branch_continuity,
-    convolve,
     element_from_dict,
     evaluate,
     extrapolate_limit,
@@ -50,6 +50,7 @@ from orbit_reference import (
     reference_entries,
     reference_evaluate,
     scalar_orbit,
+    twisted_spheres,
     two_vertex_cover,
 )
 from fell_lab.spaces import (
@@ -175,12 +176,12 @@ class TestConvolve:
     def test_identity_is_neutral(self):
         ident = identity_element(self.model)
         for x in sample_base_points(self.model, 30, seed=2):
-            got = convolve(ident, self.p, x).entries
+            got = evaluate(product(ident, self.p), x).entries
             np.testing.assert_array_equal(got, evaluate(self.p, x).entries)
 
     def test_projection_squares_to_itself(self):
         x = PointRef(0, (0.3, 0.5))
-        pp = convolve(self.p, self.p, x)
+        pp = evaluate(product(self.p, self.p), x)
         diff = np.max(np.abs(pp.entries - evaluate(self.p, x).entries))
         assert diff <= 1e-12
 
@@ -191,11 +192,11 @@ class TestConvolve:
         i1 = indicator_projection(model, r1)
         i2 = indicator_projection(model, r2)
         for x in sample_base_points(model, 40, seed=3):
-            assert convolve(i1, i2, x).max_abs() == 0.0
+            assert evaluate(product(i1, i2), x).max_abs() == 0.0
 
     def test_model_mismatch(self):
         with pytest.raises(IncompatibilityError):
-            convolve(self.p, identity_element(SolenoidAabAb()), PointRef(0, (0.3, 0.5)))
+            evaluate(product(self.p, identity_element(SolenoidAabAb())), PointRef(0, (0.3, 0.5)))
 
 
 class TestAdjoint:
@@ -280,9 +281,9 @@ class TestIndicatorProjection:
         pytest.param(  # theta and theta + 1 over an arc narrower than the probe spacing
             SolenoidAabAb(), boxes(0, (0.1, 0.1005), (1.1, 1.1005)),
             RegionSectionError, id="solenoid-thin-boxes"),
-        pytest.param(  # the second lift of ab, in chart 5, with ba in chart 1
+        pytest.param(  # the second lift of ab, in chart 5, with aa in chart 2
             two_vertex_cover(),
-            Region((RegionPiece(5, (Interval(0.4, 0.4),)), RegionPiece(1, (Interval(0.5, 0.5),)))),
+            Region((RegionPiece(5, (Interval(0.4, 0.4),)), RegionPiece(2, (Interval(0.5, 0.5),)))),
             NonHausdorffRegionError, id="cover-second-lift-of-ab"),
     ])
     def test_region_rejected_exactly(self, model, region, error):
@@ -698,11 +699,24 @@ class TestFullness:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_report_floor_is_the_witness(self, make, n, seed):
         # Scenarios read the floor off the verification report; the separate
-        # witness pass is its oracle and must agree exactly.
+        # witness pass must agree exactly, and both with the one-sample
+        # oracle on the first samples.
         p = make()
         samples = sample_base_points(p.model, n, seed=seed)
         floor = verify_projection(p, samples).fullness_floor
         assert floor == verify_fullness_witness(p, samples)
+        few = samples[:40] + samples[-40:]
+        oracle = min(reference_evaluate(p, x).max_abs() for x in few)
+        assert verify_projection(p, few).fullness_floor == verify_fullness_witness(p, few) == oracle
+
+    def test_witness_rejects_no_samples_and_infinite_entries(self):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            verify_fullness_witness(identity_element(SolenoidAabAb()), [])
+        model, x = SolenoidAabAb(), PointRef(0, (2.5,))
+        # grid_element refuses an infinite value, so the rule is built directly.
+        rule = GridRule({resolve_orbit(model, x).base_label: np.array([[math.inf]], dtype=complex)}, (x,))
+        with pytest.raises(ValueError, match="entries must be finite"):
+            verify_fullness_witness(AlgebraElement(model, rule), [x])
 
     def test_zero_element_floor_zero(self):
         model = TwistedSphere()
@@ -827,12 +841,6 @@ CONTINUITY_MODELS = [
     + [wedge(left, right, lp, rp) for (left, lp), (right, rp) in itertools.product(WEDGE_FACTORS, repeat=2)]
     if any(c.directions for c in m.branch_classes)
 ]
-
-
-def twisted_spheres():
-    """Spheres with the listed equator pair anywhere, on the seams at 0 and pi too."""
-    seams = st.sampled_from([0.0, math.pi, 2 * math.pi - 1e-12])
-    return st.builds(TwistedSphere, st.floats(0.0, 2 * math.pi) | seams)
 
 
 def grid_over_sequence(model, seq, rng):

@@ -13,12 +13,14 @@ import fell_lab.spaces
 from fell_lab.conv import RegionPiece, _meeting
 from orbit_reference import (
     base_of,
+    declared_partners,
     linear_wrap,
     periods,
     pinch_circles,
     quarters_cover,
     reference_orbit,
     scalar_orbit,
+    twisted_spheres,
     two_vertex_cover,
 )
 from fell_lab.spaces import (
@@ -673,6 +675,7 @@ class TestCoverGroupoid:
         # The walk compares a stratum coordinate with TOL, and normalize a
         # chart coordinate, so the two round differently within an ulp of the
         # edge of a TOL band (at 1e-9 * (1 + 1e-15), say); such points are left out.
+        # A point that the walk reaches within TOL of a mark is that mark's point.
         j = data.draw(st.integers(0, len(model.charts) - 1))
         chart = model.charts[j]
         marks = chart_marks(model, chart)
@@ -685,7 +688,8 @@ class TestCoverGroupoid:
             with pytest.raises(DomainError):
                 model.normalize(PointRef(j, (s,)))
         else:
-            assert model.normalize(PointRef(j, (s,))) == PointRef(j, (s,))
+            snapped = next((m for m in marks if abs(s - m) <= TOL), s)
+            assert model.normalize(PointRef(j, (s,))) == PointRef(j, (snapped,))
 
     def test_figure_cover_against_brute_force(self):
         # Independent membership predicates for the five charts.
@@ -798,7 +802,7 @@ DIRECTION_TABLE = [
             "right:top": _heart_directions(4),
         },
     ),
-    ("cover", aab_ab_figure_cover(), {"wedge": []}),
+    ("cover", aab_ab_figure_cover(), {}),  # a cover lists no class
 ]
 
 
@@ -1047,3 +1051,82 @@ class TestStrictReader:
         monkeypatch.setattr(fell_lab.spaces.inspect, "signature", unexpected)
         assert model_from_dict(data) == standard_wedge()
         assert model_from_dict(cover) == aab_ab_figure_cover()
+
+
+# Every shipped model, the wedges and the covers.
+PARTNER_MODELS = ORACLE_MODELS + COVERS[2:] + [
+    quarters_cover(),
+    wedge(BrokenHeart(), aab_ab_figure_cover(), PointRef(0, (0.0,)), PointRef(4, (0.4,))),
+]
+
+
+def partner_models():
+    """The models above, pinches with split points down to 5 TOL apart and
+    spheres with the listed equator pair anywhere."""
+    return st.sampled_from(PARTNER_MODELS) | pinch_circles() | twisted_spheres()
+
+
+def partner_labels(model, maps, y):
+    """The base labels that the maps out of y's chart reach from the point y."""
+    return {resolve_orbit(model, m(y)).base_label for m in maps(y.chart) if m.covers(y)}
+
+
+def split_pairs(model):
+    """Per solenoid or aab_ab cover in the model, the base labels of ab and ba."""
+    named = model.named_points()
+    return {frozenset(resolve_orbit(model, named[name[:-2] + end]).base_label for end in ("ab", "ba"))
+            for name in named if name.endswith("ab") and name[:-2] + "ba" in named}
+
+
+class TestDerivedPartners:
+    """``partners`` derived from the transitions against the maps that the
+    models declared (``orbit_reference.declared_partners``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=partner_models())
+    def test_derived_and_declared_reach_the_same_points(self, model):
+        # From every lift of every named point, and from 64 equator points of
+        # a sphere, both reach the same base points, except that ab and ba
+        # were declared partners and are separated.
+        split = split_pairs(model)
+        points = [y for x in model.named_points().values() for y in resolve_orbit(model, x).members]
+        if isinstance(model, TwistedSphere):
+            points += [PointRef(0, (i * TWO_PI / 64, 0.0)) for i in range(64)]
+        for y in map(model.normalize, points):
+            label = resolve_orbit(model, y).base_label
+            declared = partner_labels(model, lambda c: declared_partners(model, c), y)
+            derived = partner_labels(model, model.partners, y)
+            assert derived == {x for x in declared if frozenset((label, x)) not in split}, y
+
+    @pytest.mark.parametrize("model", [SolenoidAabAb(), aab_ab_figure_cover()], ids=lambda m: m.kind)
+    def test_ab_and_ba_are_separated(self, model):
+        ab, ba, aa = (resolve_orbit(model, model.named_point(n)) for n in ("ab", "ba", "aa"))
+        y = ab.members[0]
+        assert partner_labels(model, lambda c: declared_partners(model, c), y) == {ba.base_label, aa.base_label}
+        assert partner_labels(model, model.partners, y) == {aa.base_label}
+        assert partner_labels(model, model.partners, aa.members[0]) == {ab.base_label, ba.base_label}
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=partner_models())
+    def test_each_class_is_one_component(self, model):
+        # The base points that derived partner maps join to a class's first
+        # member, step by step from every lift, are the class's members.
+        for c in model.branch_classes:
+            members = {resolve_orbit(model, model.named_point(m)).base_label for m in c.members}
+            seen, todo = set(), [model.named_point(c.members[0])]
+            while todo:
+                orbit = resolve_orbit(model, todo.pop())
+                if orbit.base_label not in seen:
+                    seen.add(orbit.base_label)
+                    todo += [m(y) for y in orbit.members for m in model.partners(y.chart) if m.covers(y)]
+            assert seen == members, c.name
+
+    def test_sphere_partners_are_the_half_turns_on_the_equator(self):
+        assert TwistedSphere().partners(0) == declared_partners(TwistedSphere(), 0)[-2:]
+        assert TwistedSphere().partners(1) == TwistedSphere().partners(2) == ()
+
+    def test_pinch_seam_is_no_partner(self):
+        # Off 0, the seam 0 = 1 of a circle joins one arc; split at 0, it is a split point.
+        assert [m.domain for m in PinchCircle((0.3,), 2).partners(0)] == [(Interval(0.3, 0.3),)]
+        assert [m.domain for m in PinchCircle((0.0, 0.3), 2).partners(0)] == [
+            (Interval(0.0, 0.0),), (Interval(0.3, 0.3),)]

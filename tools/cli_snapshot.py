@@ -122,9 +122,10 @@ def input_files(where: Path) -> dict[str, str]:
                       "right_point": {"chart": 0, "coord": [0.5, 0.0]}},
             "element": identity,
         },
-        # Regions that the model's declared maps reject: two equator points
-        # that are not separated, two lifts of one fiber over a thin arc, and
-        # the second lift of the branch point ab with ba.
+        # Regions checked against the model's maps: two equator points that
+        # are not separated and two lifts of one fiber over a thin arc are
+        # rejected; the second lift of the split point ab is accepted with
+        # ba, from which it is separated, and rejected with aa.
         "sphere-equator-boxes": {
             "model": {"kind": "twisted_sphere"},
             "element": indicator([(0, (0.01, 0.03, -0.005, 0.005)),
@@ -138,6 +139,23 @@ def input_files(where: Path) -> dict[str, str]:
             "model": dict(figure_cover, charts=figure_cover["charts"] + [
                 {"pieces": [span("b", 0.6, 1.0), {"vertex": "ab"}, span("a", 0.0, 0.4)]}]),
             "element": indicator([(5, (0.4, 0.4)), (1, (0.5, 0.5))]),
+        },
+        "cover-second-lift-of-ab-with-aa": {
+            "model": dict(figure_cover, charts=figure_cover["charts"] + [
+                {"pieces": [span("b", 0.6, 1.0), {"vertex": "ab"}, span("a", 0.0, 0.4)]}]),
+            "element": indicator([(5, (0.4, 0.4)), (2, (0.5, 0.5))]),
+        },
+        # On the solenoid, arcs out of ab and out of ba, which are separated,
+        # and arcs out of ab and out of aa, which are not.
+        "solenoid-ab-ba-arcs": {
+            "model": {"kind": "solenoid_aab_ab"},
+            "element": {"rule": "indicator", "region": {"pieces": [
+                {"chart": 0, "box": [{"lo": lo, "hi": lo + 0.2, "hi_closed": False}]}
+                for lo in (0.0, 2.0)]}},
+        },
+        "solenoid-ab-aa-boxes": {
+            "model": {"kind": "solenoid_aab_ab"},
+            "element": indicator([(0, (0.0, 0.2)), (0, (1.0, 1.2))]),
         },
         # Inputs that exit 2: a cover that leaves x = 0.5 in no chart, a span
         # past the ends of its base, a chart that holds a point twice, a grid
@@ -234,7 +252,8 @@ def cases(files: dict[str, str]) -> list[tuple[str, list[str]]]:
     out.append(("verify-wedge-grid-perturbed-json",
                 ["verify", files["wedge-grid-perturbed"], "--json"]))
     for name in ("sphere-equator-boxes", "solenoid-thin-boxes", "cover-second-lift-of-ab",
-                 "grid-square-infinite", "grid-square-finite"):
+                 "grid-square-infinite", "grid-square-finite", "cover-second-lift-of-ab-with-aa",
+                 "solenoid-ab-ba-arcs", "solenoid-ab-aa-boxes"):
         out.append((f"verify-{name}-json", ["verify", files[name], "--json"]))
     for name in ("cover-gap-at-half", "cover-span-outside-base", "cover-chart-holds-point-twice",
                  "grid-no-points", "region-unknown-chart"):
