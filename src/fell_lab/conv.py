@@ -35,7 +35,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -144,6 +144,7 @@ class SphereProjectionRule:
 class GridRule:
     values: dict[tuple, np.ndarray]  # base label -> matrix
     points: tuple[PointRef, ...]  # the given base points, one per value, in order
+    stacks: tuple = field(default=(), compare=False)  # per VERIFY_CHUNK of points, (block, stack)s
 
     def lookup(self, label: tuple) -> np.ndarray:
         try:
@@ -270,36 +271,74 @@ def element_from_dict(model: SpaceModel, d: dict) -> AlgebraElement:
         return BUILTINS[name](model, **kwargs)
     if rule == "indicator":
         return indicator_projection(model, spaces.read_json(Region, d["region"], "a region"))
-    # One point at a time, so that the file's values do not all stay alive at once.
+    # In step with grid_element's chunks: chunk i is read after chunk i - 1 is resolved.
     points = spaces.json_array(d["points"], "points")
-    values = (spaces.read_json(GridPoint, p, "points[]") for p in points)
-    return grid_element(model, ((PointRef(p.chart, p.coord), p.matrix) for p in values))
+    chunks = (_read_points(points[i:i + VERIFY_CHUNK]) for i in range(0, len(points), VERIFY_CHUNK))
+    return grid_element(model, itertools.chain.from_iterable(chunks))
+
+
+def _read_points(chunk: list) -> list[tuple[PointRef, np.ndarray]]:
+    """``read_json(GridPoint, p, "points[]")`` of each point, with the chunk
+    checked as a whole and the matrices of each length k read as one array.
+    A chunk that fails the check is read point by point by ``read_json``."""
+    keys = set(GridPoint._fields)
+    try:
+        if all(type(p) is dict and p.keys() == keys for p in chunk):
+            charts, coords, mats = ([p[key] for p in chunk] for key in GridPoint._fields)
+            rows, xs = list(itertools.chain(*mats)), list(itertools.chain(*coords))
+            pairs = list(itertools.chain(*rows))
+            if (set(map(type, charts)) == {int} and set(map(type, itertools.chain(xs, *pairs))) <= {int, float}
+                    and set(map(type, itertools.chain(coords, mats, rows, pairs))) <= {list}
+                    and all(map(math.isfinite, xs))):
+                by_k = {k: np.array([m for m in mats if len(m) == k], dtype=float) for k in set(map(len, mats))}
+                if all(a.shape[1:] == (k, k, 2) and np.isfinite(a).all() for k, a in by_k.items()):
+                    by_k = {k: iter(a.view(complex)[..., 0]) for k, a in by_k.items()}
+                    return [(PointRef(c, tuple(map(float, x))), next(by_k[len(m)]))
+                            for c, x, m in zip(charts, coords, mats)]
+    except (TypeError, ValueError, OverflowError):  # not an array, ragged, or an int past the float range
+        pass
+    return [(PointRef(p.chart, p.coord), p.matrix)
+            for p in (spaces.read_json(GridPoint, p, "points[]") for p in chunk)]
 
 
 def grid_element(
     model: SpaceModel,
     values: Mapping[PointRef, np.ndarray] | Iterable[tuple[PointRef, np.ndarray]],
 ) -> AlgebraElement:
-    """Element given by explicit fiber matrices at one or more base points."""
+    """Element given by explicit fiber matrices at one or more base points.
+
+    Each ``VERIFY_CHUNK`` of values is resolved once and checked as one stack per
+    block, or point by point for its first fault in input order if it has one."""
     items = iter(values.items() if isinstance(values, Mapping) else values)
-    stored: dict[tuple, np.ndarray] = {}
-    points = []
+    stored, points, stacks = {}, [], []
     while chunk := list(itertools.islice(items, VERIFY_CHUNK)):
-        fibers = sorted((row, label, block.size) for block in resolve_orbits(model, [x for x, _ in chunk])
-                        for row, label in zip(block.rows.tolist(), block.labels()))
-        for (_, label, size), (point, arr) in zip(fibers, chunk):
-            if label in stored:
-                raise ValueError(f"duplicate grid value at base point {label!r}")
-            mat = np.asarray(arr, dtype=complex)
-            if mat.shape != (size, size):
-                raise ValueError(f"matrix shape {mat.shape} does not match fiber size {size}")
-            if not np.isfinite(mat).all():
-                raise ValueError(f"grid value at base point {label!r} is not finite")
-            stored[label] = mat
-            points.append(point)
+        blocks = resolve_orbits(model, [x for x, _ in chunk])
+        try:
+            kept = [(b, np.array([chunk[r][1] for r in b.rows.tolist()], dtype=complex)) for b in blocks]
+        except (TypeError, ValueError):  # a ragged matrix or an entry that is no number
+            kept = []
+        new = {label: mat for b, a in kept if a.shape[1:] == (b.size, b.size) and np.isfinite(a).all()
+               for label, mat in zip(b.labels(), a)}
+        if len(new) == len(chunk) and new.keys().isdisjoint(stored):
+            stored.update(new)
+        else:
+            fibers = sorted((row, label, block.size) for block in blocks
+                            for row, label in zip(block.rows.tolist(), block.labels()))
+            for (_, label, size), (_, arr) in zip(fibers, chunk):
+                if label in stored:
+                    raise ValueError(f"duplicate grid value at base point {label!r}")
+                mat = np.asarray(arr, dtype=complex)
+                if mat.shape != (size, size):
+                    raise ValueError(f"matrix shape {mat.shape} does not match fiber size {size}")
+                if not np.isfinite(mat).all():
+                    raise ValueError(f"grid value at base point {label!r} is not finite")
+                stored[label] = mat
+            kept = [(b, np.stack([stored[label] for label in b.labels()])) for b in blocks]
+        points += [x for x, _ in chunk]
+        stacks += kept
     if not points:
         raise ValueError("a grid element needs at least one point")
-    return AlgebraElement(model, GridRule(values=stored, points=tuple(points)))
+    return AlgebraElement(model, GridRule(values=stored, points=tuple(points), stacks=tuple(stacks)))
 
 
 def adjoint(f: AlgebraElement) -> AlgebraElement:
@@ -526,14 +565,18 @@ def _max_opnorm(running: float, d: np.ndarray) -> float:
 
 def _checked_stacks(p: AlgebraElement, samples: list[PointRef]) -> Iterator[np.ndarray]:
     """The element's matrix stacks over the samples, ``VERIFY_CHUNK`` samples
-    at a time; ``ValueError`` for no samples or an entry that is not finite."""
+    at a time; ``ValueError`` for no samples or an entry that is not finite.
+    Over a grid's own points they are the stacks it kept, as ``fiber_stacks``."""
     if not samples:
         raise ValueError("need at least one sample point")
-    for start in range(0, len(samples), VERIFY_CHUNK):
-        for _, a in fiber_stacks(p, samples[start:start + VERIFY_CHUNK]):
-            if not np.isfinite(a).all():
-                raise ValueError("entries must be finite")
-            yield a
+    if isinstance(p.rule, GridRule) and p.rule.stacks and tuple(samples) == p.rule.points:
+        chunks = [p.rule.stacks]
+    else:
+        chunks = (fiber_stacks(p, samples[i:i + VERIFY_CHUNK]) for i in range(0, len(samples), VERIFY_CHUNK))
+    for _, a in itertools.chain.from_iterable(chunks):
+        if not np.isfinite(a).all():
+            raise ValueError("entries must be finite")
+        yield a
 
 
 def verify_projection(p: AlgebraElement, samples: list[PointRef]) -> VerificationReport:

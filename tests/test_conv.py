@@ -534,6 +534,20 @@ class TestBatchedVerification:
         f = grid_element(model, values)
         assert_matches_reference(f, [x for x, _ in values])
 
+    def test_grid_on_a_permuted_part_of_its_points(self):
+        # A grid folds the stacks it kept only over its own points in order;
+        # a permuted part of them, without the point of the largest defect,
+        # is resolved again and gives the oracle's smaller maxima.
+        model = standard_wedge()
+        f = grid_at(model, sample_base_points(model, 800, seed=2), np.random.default_rng(4))
+        points = list(f.rule.points)
+        full = assert_matches_reference(f, points)
+        worst = max(points, key=lambda x: _verify_projection_reference(f, [x]).max_idempotency_defect)
+        rest = [x for x in points if x is not worst]
+        part = [rest[i] for i in np.random.default_rng(5).permutation(len(rest))[: len(rest) // 2]]
+        rep = assert_matches_reference(f, part)
+        assert rep.max_idempotency_defect < full.max_idempotency_defect
+
     def test_wedge_grid_covers_sizes_one_to_three(self):
         model = standard_wedge()
         sizes = {resolve_orbit(model, x).size for x in sample_base_points(model, 800, seed=0)}

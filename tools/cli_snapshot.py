@@ -57,6 +57,17 @@ def input_files(where: Path) -> dict[str, str]:
             for chart, b in chart_boxes
         ]}}
 
+    def wedge_grid_with(changes):
+        """The 300-point wedge grid with, per point index, its chart or its first entry replaced."""
+        data = workloads.grid_file(300, False, random.Random(1)).data
+        for i, (what, value) in changes.items():
+            point = data["element"]["points"][i]
+            if what == "chart":
+                point["chart"] = value
+            else:
+                point["matrix"][0][0][0] = value
+        return data
+
     pi = 3.141592653589793
     files = {
         "sphere-perturbed": {
@@ -191,6 +202,16 @@ def input_files(where: Path) -> dict[str, str]:
         "region-unknown-chart": {"model": {"kind": "solenoid_aab_ab"},
                                  "element": indicator([(7, (0.1, 0.2))])},
         "wedge-grid": workloads.grid_file(300, False, random.Random(1)).data,
+        # Grid files read 256 points at a time that exit 2: a bad entry in the
+        # second chunk; the same with a point of the first chunk on a chart the
+        # wedge lacks, which is met first; a chart that is a float; a
+        # coordinate past the float range, as the file writes it.
+        "wedge-grid-true-at-280": wedge_grid_with({280: ("entry", True)}),
+        "wedge-grid-chart-9-at-10-string-at-280": wedge_grid_with({10: ("chart", 9), 280: ("entry", "1.0")}),
+        "grid-chart-float": {"model": {"kind": "solenoid_aab_ab"}, "element": {
+            "rule": "grid", "points": [{"chart": 0.0, "coord": [2.5], "matrix": [[[1.0, 0.0]]]}]}},
+        "grid-coord-1e400": '{"model": {"kind": "solenoid_aab_ab"}, "element": {"rule": "grid", '
+                            '"points": [{"chart": 0, "coord": [1e400], "matrix": [[[1.0, 0.0]]]}]}}',
         "wedge-grid-perturbed": workloads.grid_file(300, True, random.Random(2)).data,
         "ktheory-10": workloads.ktheory_system(10, random.Random(3)).data,
         "ktheory-25": workloads.ktheory_system(25, random.Random(4)).data,
@@ -216,7 +237,7 @@ def input_files(where: Path) -> dict[str, str]:
     paths = {}
     for name, data in files.items():
         path = where / f"{name}.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
+        path.write_text(data if isinstance(data, str) else json.dumps(data), encoding="utf-8")
         paths[name] = str(path)
     return paths
 
@@ -256,7 +277,8 @@ def cases(files: dict[str, str]) -> list[tuple[str, list[str]]]:
                  "solenoid-ab-ba-arcs", "solenoid-ab-aa-boxes"):
         out.append((f"verify-{name}-json", ["verify", files[name], "--json"]))
     for name in ("cover-gap-at-half", "cover-span-outside-base", "cover-chart-holds-point-twice",
-                 "grid-no-points", "region-unknown-chart"):
+                 "grid-no-points", "region-unknown-chart", "wedge-grid-true-at-280",
+                 "wedge-grid-chart-9-at-10-string-at-280", "grid-chart-float", "grid-coord-1e400"):
         out.append((f"verify-{name}-json", ["verify", files[name], "--json"]))
     for name in ("ktheory-10", "ktheory-25", "ktheory-40", "ktheory-splice",
                  "ktheory-splice-misspelled"):
